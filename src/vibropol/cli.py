@@ -10,25 +10,35 @@ success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .config import (PRESET_NAMES, load_preset, model_from_config,
                      model_to_config, read_config)
-from .core import (EmitterModel, NumericalError, ValidationError, make_grid,
-                   slice_map)
+from .core import (EmitterModel, EnergyGrid, NumericalError, Spectrum,
+                   ValidationError, make_grid)
 from .dipole import mode_rotations, opsb_offset, orientation_vs_energy
-from .io import (read_map, read_mode_table, read_rqwp_trace, write_analysis_report,
-                 write_g2_histogram, write_map, write_mode_table,
-                 write_spectrum)
+from .io import (read_angle_trace, read_map, read_mode_table, read_rqwp_trace,
+                 write_analysis_report, write_g2_histogram, write_map,
+                 write_mode_table, write_spectrum)
 from .photostats import (background_rate_for_fraction, g2_histogram,
                          simulate_stream)
 from .polarimetry import (analyze_map, extract_stokes_rqwp, fit_malus,
                           simulate_polarization_map, stokes_to_ellipse)
 from .vibronic import (full_band_grid, lineshape_density, spectral_function,
                        total_dq)
-from .core import Spectrum, EnergyGrid
+
+# largest grid a command builds, as for the renderer's internal grid
+MAX_GRID_POINTS = 2 ** 22
+
+
+def _checked_grid(lo: float, hi: float, n: int) -> EnergyGrid:
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid would have {n} points (limit {MAX_GRID_POINTS})")
+    return make_grid(lo, hi, n)
 
 
 def _parse_grid(text: str, unit: float = 1.0) -> EnergyGrid:
@@ -39,7 +49,7 @@ def _parse_grid(text: str, unit: float = 1.0) -> EnergyGrid:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: {exc}") from None
-    return make_grid(lo * unit, hi * unit, n)
+    return _checked_grid(lo * unit, hi * unit, n)
 
 
 def _parse_angles(text: str) -> np.ndarray:
@@ -50,8 +60,10 @@ def _parse_angles(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"bad angles {text!r}: {exc}") from None
-    if step <= 0 or stop <= start:
+    if not (step > 0 and stop > start):
         raise ValidationError("angles need stop > start and step > 0")
+    if not (stop - start) / step < MAX_GRID_POINTS:
+        raise ValidationError(f"angles would exceed {MAX_GRID_POINTS} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -73,7 +85,7 @@ def _resolve_model(args) -> EmitterModel:
     raise ValidationError("one of --preset or --config is required")
 
 
-def _model_flags(p, required: bool = True):
+def _model_flags(p):
     p.add_argument("--preset", choices=PRESET_NAMES,
                    help="shipped emitter preset")
     p.add_argument("--config", help="key = value config file")
@@ -116,6 +128,8 @@ def cmd_spectrum(args) -> int:
 def cmd_spectral_function(args) -> int:
     model = _resolve_model(args)
     b = args.broadening
+    if not b > 0:
+        raise ValidationError("broadening must be > 0")
     if args.grid_mev:
         grid = _parse_grid(args.grid_mev)
     else:
@@ -124,7 +138,7 @@ def cmd_spectral_function(args) -> int:
         lo = min(m.energy_mev for m in model.modes) - 8.0 * b
         hi = max(m.energy_mev for m in model.modes) + 8.0 * b
         n = int(np.ceil((hi - lo) / (b / 8.0))) + 1
-        grid = make_grid(lo, hi, n)
+        grid = _checked_grid(lo, hi, n)
     spec = spectral_function(model.modes, b, grid)
     cfg = _run_header(args, model, broadening_mev=b)
     write_spectrum(args.out, spec, cfg, abscissa="energy_mev")
@@ -171,15 +185,8 @@ def cmd_analyze_map(args) -> int:
     return 0
 
 
-def _read_angle_trace(path, header: str):
-    from .io import _read_rows
-    rows, _ = _read_rows(path, header)
-    data = np.array(rows, dtype=float)
-    return data[:, 0], data[:, 1]
-
-
 def cmd_fit_malus(args) -> int:
-    angles, inten = _read_angle_trace(args.infile, "angle_deg,intensity")
+    angles, inten = read_angle_trace(args.infile, "angle_deg,intensity")
     fit = fit_malus(angles, inten)
     lines = [f"theta0_deg = {fit.theta0:.12g}",
              f"i_max = {fit.i_max:.12g}",
@@ -430,9 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_args(args) -> None:
+    """Reject non-finite float flags, and an --out whose directory is
+    missing, before any compute."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be finite, got {value}")
+    if getattr(args, "out", ""):
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(
+                f"output directory {parent!r} does not exist")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)

@@ -37,12 +37,6 @@ def wrap_orientation_scalar(angle_deg: float) -> float:
     return float((angle_deg + 90.0) % 180.0 - 90.0)
 
 
-def axis_unit_vector(angle_deg):
-    """In-plane unit vector for an axis angle given in degrees."""
-    a = np.deg2rad(angle_deg)
-    return np.array([np.cos(a), np.sin(a)])
-
-
 @dataclass(frozen=True)
 class EnergyGrid:
     """Uniform, strictly increasing energy axis.

@@ -13,6 +13,12 @@ populated initial levels sample larger displacements).  The acoustic
 wing is a pseudo-channel whose displacement grows as sqrt(delta/cutoff),
 scaled by a thermal amplification that vanishes as T -> 0 and whose
 rotation sense follows the sign of the strain bias.
+
+The channel sum visits, for each block of grid energies, only the lines
+within a reach R of the block: beyond R the Gaussian ZPL profile and the
+acoustic wing w_s R / c^2 e^{-R/c} of every line are below a pointwise
+bound that keeps the total left-out weight under TAIL_FRACTION of the
+low-signal threshold (see ``orientation_vs_energy``).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import lambertw
 
 from .core import (EmitterModel, EnergyGrid, NumericalError, OrientationCurve,
                    ValidationError, wrap_orientation, wrap_orientation_scalar,
@@ -32,6 +39,13 @@ ANTI_STOKES_AMPLIFICATION = 1.0
 
 # a grid point is invalid when its intensity is below this fraction of peak
 LOW_SIGNAL_FRACTION = 1e-6
+
+# line tails left out of the orientation sum add at most this fraction of
+# the low-signal threshold at any grid point
+TAIL_FRACTION = 1e-12
+
+# largest line x grid-point block the orientation sum holds at once
+_ELEMENT_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -204,6 +218,145 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
     return shifts, weights, vx, vy
 
 
+def _axis_cos_sin(x, y):
+    """(cos 2a, sin 2a) of the axis through (x, y); (0, 0) at the origin."""
+    r2 = x * x + y * y
+    inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
+    return (x * x - y * y) * inv, 2.0 * x * y * inv
+
+
+def _line_reach(model: EmitterModel, budget: float) -> tuple:
+    """(sharp, wing) reach in meV of one line of unit weight.
+
+    Beyond the sharp reach the ZPL profile, and beyond the wing reach the
+    acoustic wing, is at most ``budget`` (1/meV) at every detuning.  The
+    Lorentzian tail is algebraic, so its sharp reach is infinite.
+    """
+    if not budget > 0:
+        return np.inf, np.inf
+    reach_s = np.inf
+    if model.zpl_profile == "gaussian":
+        sig = model.zpl_linewidth / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        ratio = budget * sig * np.sqrt(2.0 * np.pi)
+        reach_s = sig * np.sqrt(-2.0 * np.log(ratio)) if ratio < 1 else 0.0
+    reach_w = 0.0
+    if model.acoustic_coupling > 0:
+        # w_s x e^{-x} / c = budget with x = R / c on the falling side x >= 1
+        c = model.acoustic_cutoff
+        a = budget * c / model.acoustic_coupling
+        x = 1.0 if a >= np.exp(-1.0) else -lambertw(-a, -1).real
+        reach_w = c * x
+    return reach_s, reach_w
+
+
+def _tail_bound(model: EmitterModel, reach_s: float, reach_w: float) -> float:
+    """Largest density (1/meV) one line of unit weight adds beyond both
+    reaches: the profile at the sharp reach plus the Stokes wing at the
+    wing reach (the anti-Stokes wing carries an extra e^{-|d|/kT})."""
+    bound = 0.0
+    if np.isfinite(reach_s):
+        bound += float(_profile_density(reach_s, model.zpl_linewidth,
+                                        model.zpl_profile))
+    if model.acoustic_coupling > 0 and np.isfinite(reach_w):
+        c = model.acoustic_cutoff
+        bound += model.acoustic_coupling * reach_w / c ** 2 * np.exp(-reach_w / c)
+    return bound
+
+
+def _jitter_dolp(model: EmitterModel) -> float:
+    """Per-channel DOLP ceiling from thermal orientation wobble."""
+    sigma_jit = (model.acoustic_gradient * model.orientation_jitter
+                 * thermal_amplification(model) / model.equilibrium_dipole)
+    return float(np.exp(-2.0 * sigma_jit ** 2))
+
+
+def _channel_sums(model: EmitterModel, shift_e, shifts, coef, bx, by,
+                  reach_s: float, reach_w: float) -> np.ndarray:
+    """(s0, s1, s2) at shifts ``shift_e`` (meV below ZPL, descending).
+
+    Lines are sorted by ``shifts``; ``coef`` holds their sharp-channel
+    Stokes coefficients (w, w cos2psi, w sin2psi) x jitter / knorm, and
+    (bx, by) their dipoles.  The grid is walked in blocks; per block only
+    the lines within the sharp (wing) reach of it enter the sharp (wing)
+    sum.  A block holds at most _ELEMENT_CAP line x point pairs.
+    """
+    jitter_dolp = _jitter_dolp(model)
+    amp = thermal_amplification(model)
+    sense = np.sign(model.strain_bias)
+    a_ac = np.deg2rad(model.acoustic_direction)
+    gx = model.acoustic_gradient * np.cos(a_ac)
+    gy = model.acoustic_gradient * np.sin(a_ac)
+
+    n_e = shift_e.size
+    out = np.zeros((3, n_e))
+    step = max(1, _ELEMENT_CAP // max(shifts.size, 1))
+    for i0 in range(0, n_e, step):
+        blk = shift_e[i0:i0 + step]
+        lo, hi = blk[-1], blk[0]
+        acc = out[:, i0:i0 + step]
+
+        # sharp replica part of each channel
+        a = np.searchsorted(shifts, lo - reach_s, side="left")
+        b = np.searchsorted(shifts, hi + reach_s, side="right")
+        delta = blk[None, :] - shifts[a:b, None]     # >0: Stokes side of line
+        acc += coef[:, a:b] @ _profile_density(delta, model.zpl_linewidth,
+                                               model.zpl_profile)
+
+        # acoustic pseudo-channel dressing each line
+        if model.acoustic_coupling > 0:
+            a = np.searchsorted(shifts, lo - reach_w, side="left")
+            b = np.searchsorted(shifts, hi + reach_w, side="right")
+            delta = blk[None, :] - shifts[a:b, None]
+            wing_i = coef[0, a:b, None] * acoustic_wing_density(model, delta)
+            q_ac = np.sqrt(np.abs(delta) / model.acoustic_cutoff) * amp * sense
+            q_ac = np.where(delta >= 0, -q_ac,
+                            (1.0 + ANTI_STOKES_AMPLIFICATION) * q_ac)
+            c2, sn2 = _axis_cos_sin(bx[a:b, None] + gx * q_ac,
+                                    by[a:b, None] + gy * q_ac)
+            acc[0] += wing_i.sum(axis=0)
+            acc[1] += (wing_i * c2).sum(axis=0) * jitter_dolp
+            acc[2] += (wing_i * sn2).sum(axis=0) * jitter_dolp
+    return out
+
+
+def _stokes_sums(model: EmitterModel, grid: EnergyGrid) -> np.ndarray:
+    """Channel-summed (s0, s1, s2) of the biased model on the grid.
+
+    Only lines within a reach R of each energy block are summed; the
+    reach and its bound are described in ``orientation_vs_energy``.
+    """
+    shifts, weights, vx, vy = _enumerate_lines(model)
+    order = np.argsort(shifts, kind="stable")
+    shifts, weights, vx, vy = (shifts[order], weights[order], vx[order],
+                               vy[order])
+
+    jitter_dolp = _jitter_dolp(model)
+    _, _, knorm = _acoustic_kernel_weights(model)
+    c2, sn2 = _axis_cos_sin(vx, vy)
+    coef = np.stack([weights, weights * c2 * jitter_dolp,
+                     weights * sn2 * jitter_dolp]) / knorm
+
+    shift_e = (model.zpl_energy - grid.points) * 1e3      # meV below ZPL
+    # lower bound on the peak of s0: each line's sharp part at its
+    # nearest grid point (every term of the sum is >= 0)
+    asc = shift_e[::-1]
+    k = np.clip(np.searchsorted(asc, shifts), 1, asc.size - 1)
+    near = np.minimum(np.abs(shifts - asc[k - 1]), np.abs(shifts - asc[k]))
+    floor = float(np.max(weights * _profile_density(
+        near, model.zpl_linewidth, model.zpl_profile))) / knorm
+
+    total = float(weights.sum())
+    tol = TAIL_FRACTION * LOW_SIGNAL_FRACTION
+    # the sharp and wing tails get a quarter of the budget each; the other
+    # half absorbs rounding in the reach and in the sum
+    reach_s, reach_w = _line_reach(model, tol * floor * knorm / (4.0 * total))
+    s = _channel_sums(model, shift_e, shifts, coef, vx, vy, reach_s, reach_w)
+    dropped = total * _tail_bound(model, reach_s, reach_w) / knorm
+    if dropped > tol * s[0].max():
+        s = _channel_sums(model, shift_e, shifts, coef, vx, vy, np.inf, np.inf)
+    return s
+
+
 def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
                           ) -> OrientationCurve:
     """Orientation angle and DOLP across the vibronic manifold.
@@ -212,65 +365,27 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     the acoustic pseudo-channel dressing each replica); channel Stokes
     vectors are summed at each photon energy and converted back to
     (psi, DOLP).  Points below the low-signal threshold are invalid.
+
+    Only the lines within a reach of each energy block are summed.  The
+    ZPL profile p(d) and the acoustic wing rho(d) of a line both fall
+    monotonically with |d| (the wing beyond its maximum at |d| = c), so a
+    line of weight w farther than the reach from a grid point adds at most
+    w t / knorm to s0 there, with the pointwise tail bound
+
+        t = p(R_sharp) + w_s R_wing / c^2 e^{-R_wing / c}
+
+    (w_s, c: acoustic coupling and cutoff; the anti-Stokes wing carries an
+    extra e^{-|d|/kT} <= 1).  The Lorentzian tail is algebraic, so its
+    sharp reach is infinite and only the wing is banded.  Terms of s1 and
+    s2 are no larger in magnitude than those of s0.  The reaches are the smallest with
+    W t / knorm <= TAIL_FRACTION x LOW_SIGNAL_FRACTION x F / 2, W the total
+    line weight and F a lower bound on the peak of s0 (the largest sharp
+    term of one line at its nearest grid point).  After the sum the bound
+    is checked against the actual peak of s0; if it fails, the sum is
+    redone with every line, so no weight is dropped beyond the bound.
     """
-    eff = apply_strain_bias(model)
-    shifts, weights, vx, vy = _enumerate_lines(eff)
-
-    amp = thermal_amplification(eff)
-    sense = np.sign(eff.strain_bias)
-    a_ac = np.deg2rad(eff.acoustic_direction)
-    gac = eff.acoustic_gradient
-    ux, uy = np.cos(a_ac), np.sin(a_ac)
-
-    # per-channel DOLP ceiling from thermal orientation wobble
-    sigma_jit = (gac * eff.orientation_jitter * amp
-                 / eff.equilibrium_dipole)
-    jitter_dolp = float(np.exp(-2.0 * sigma_jit ** 2))
-
-    _, _, knorm = _acoustic_kernel_weights(eff)
-
-    energies = grid.points
-    shift_e = (eff.zpl_energy - energies) * 1e3      # meV below ZPL
-    n_e = energies.size
-
-    s0 = np.zeros(n_e)
-    s1 = np.zeros(n_e)
-    s2 = np.zeros(n_e)
-
-    chunk = max(1, int(4e6) // max(n_e, 1))
-    for start in range(0, shifts.size, chunk):
-        sl = slice(start, start + chunk)
-        sh = shifts[sl][:, None]
-        w = weights[sl][:, None]
-        bx = vx[sl][:, None]
-        by = vy[sl][:, None]
-        delta = shift_e[None, :] - sh                # >0: Stokes side of line
-
-        # sharp replica part of each channel
-        line_i = w * _profile_density(delta, eff.zpl_linewidth,
-                                      eff.zpl_profile) / knorm
-        r2 = bx * bx + by * by
-        c2 = np.where(r2 > 0, (bx * bx - by * by) / np.where(r2 > 0, r2, 1), 0.0)
-        sn2 = np.where(r2 > 0, 2 * bx * by / np.where(r2 > 0, r2, 1), 0.0)
-        s0 += line_i.sum(axis=0)
-        s1 += (line_i * c2).sum(axis=0) * jitter_dolp
-        s2 += (line_i * sn2).sum(axis=0) * jitter_dolp
-
-        # acoustic pseudo-channel dressing this line
-        if eff.acoustic_coupling > 0:
-            wing_i = w * acoustic_wing_density(eff, delta) / knorm
-            q_ac = np.sqrt(np.abs(delta) / eff.acoustic_cutoff) * amp * sense
-            q_ac = np.where(delta >= 0, -q_ac,
-                            (1.0 + ANTI_STOKES_AMPLIFICATION) * q_ac)
-            ax = bx + gac * q_ac * ux
-            ay = by + gac * q_ac * uy
-            r2 = ax * ax + ay * ay
-            c2 = np.where(r2 > 0, (ax * ax - ay * ay) / np.where(r2 > 0, r2, 1), 0.0)
-            sn2 = np.where(r2 > 0, 2 * ax * ay / np.where(r2 > 0, r2, 1), 0.0)
-            s0 += wing_i.sum(axis=0)
-            s1 += (wing_i * c2).sum(axis=0) * jitter_dolp
-            s2 += (wing_i * sn2).sum(axis=0) * jitter_dolp
-
+    s0, s1, s2 = _stokes_sums(apply_strain_bias(model), grid)
+    n_e = grid.n_points
     peak = s0.max() if s0.size else 0.0
     valid = s0 > LOW_SIGNAL_FRACTION * peak
     psi = np.full(n_e, np.nan)

@@ -174,20 +174,18 @@ def write_rqwp_trace(path, qwp_angles, intensity,
     _write(path, "\n".join(lines) + "\n")
 
 
-def read_rqwp_trace(path):
-    rows, _ = _read_rows(path, "qwp_angle_deg,intensity")
+def read_angle_trace(path, header: str):
+    """(angles, intensities) of a two-column trace with the given header."""
+    rows, _ = _read_rows(path, header)
     data = np.array(rows, dtype=float)
     return data[:, 0], data[:, 1]
 
 
-# -------------------------------------------------------- photon streams
+def read_rqwp_trace(path):
+    return read_angle_trace(path, "qwp_angle_deg,intensity")
 
-def write_stream(path, stream, config: dict | None = None) -> None:
-    lines = [_header_block(config) + "time_ps,channel"]
-    for t, c in zip(stream.time_tags, stream.channel):
-        lines.append(f"{FMT % t},{int(c)}")
-    _write(path, "\n".join(lines) + "\n")
 
+# ------------------------------------------------------ g2 histograms
 
 def write_g2_histogram(path, hist, config: dict | None = None) -> None:
     lines = [_header_block(config) + "tau_ns,coincidences"]

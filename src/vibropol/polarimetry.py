@@ -20,6 +20,9 @@ from .core import (EmitterModel, EnergyGrid, NumericalError,
 from .dipole import orientation_vs_energy
 from .vibronic import lineshape_density
 
+# largest map maximum numpy's Poisson sampler accepts (its limit is ~9.2e18)
+POISSON_MAX_COUNTS = 1e18
+
 # a bin is valid when its summed counts exceed this (rel. error <~ 20%)
 MIN_BIN_COUNTS = 25.0
 
@@ -211,6 +214,11 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
         raise ValidationError(f"unknown map mode {mode!r}")
     if noise not in ("none", "poisson"):
         raise ValidationError(f"unknown noise model {noise!r}")
+    if not (np.isfinite(counts_per_point) and counts_per_point > 0):
+        raise ValidationError("counts_per_point must be finite and > 0")
+    if noise == "poisson" and counts_per_point > POISSON_MAX_COUNTS:
+        raise ValidationError(
+            f"poisson noise needs counts_per_point <= {POISSON_MAX_COUNTS:g}")
     angles = np.asarray(angles_deg, dtype=float)
     curve = orientation_vs_energy(model, grid)
     dens = lineshape_density(model, grid.points)

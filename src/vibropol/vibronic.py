@@ -312,6 +312,23 @@ def mode_line_weights(mode: PhononMode, temperature: float,
     return ms[keep], ws[keep]
 
 
+def _unit_circle_poly(z, ms, ws):
+    """sum_m ws[m] z^m for |z| = 1: Horner in z for the Stokes powers
+    m >= 0 and in conj(z) = 1/z for the anti-Stokes powers m < 0."""
+    total = np.zeros_like(z)
+    for base, sel in ((z, ms >= 0), (np.conj(z), ms < 0)):
+        if not np.any(sel):
+            continue
+        c = np.zeros(int(np.abs(ms[sel]).max()) + 1)
+        c[np.abs(ms[sel])] = ws[sel]
+        acc = np.full_like(z, c[-1])
+        for ck in c[-2::-1]:
+            acc *= base
+            acc += ck
+        total += acc
+    return total
+
+
 def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
                          max_quanta: int = 12) -> Spectrum:
     """Oracle spectrum from explicit Franck-Condon sums per mode.
@@ -332,10 +349,7 @@ def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
     def g_builder(tau):
         g = np.ones_like(tau, dtype=complex)
         for mode, (ms, ws) in zip(model.modes, tables):
-            poly = np.zeros_like(tau, dtype=complex)
-            for m, w in zip(ms, ws):
-                poly += w * np.exp(-1j * m * mode.energy_mev * tau)
-            g *= poly
+            g *= _unit_circle_poly(np.exp(-1j * mode.energy_mev * tau), ms, ws)
         return g
 
     energies = grid.points

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vibropol.cli as cli
 from vibropol.cli import main
 from vibropol.io import read_spectrum, write_rqwp_trace, _read_rows
 from vibropol.polarimetry import StokesVector, rqwp_intensity
@@ -164,3 +165,60 @@ def test_roundtrip_command_passes(tmp_path):
     text = out.read_text()
     assert "FAIL" not in text
     assert "sweep_deg" in text and "opsb_offset_deg" in text
+
+
+# ------------------------------------------- bad input ends before compute
+
+def _assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "--bin-width", "nan"],
+    ["g2", "--window", "inf"],
+    ["spectral-function", "--preset", "weak_coupling", "--broadening", "nan"],
+    ["spectral-function", "--preset", "weak_coupling", "--broadening", "0"],
+    # would need about 1.2e14 grid points
+    ["spectral-function", "--preset", "weak_coupling", "--broadening", "1e-9"],
+    ["simulate-map", "--preset", "weak_coupling", "--counts", "-5"],
+    ["simulate-map", "--preset", "weak_coupling", "--counts", "0"],
+    ["simulate-map", "--preset", "weak_coupling", "--counts", "nan"],
+    ["simulate-map", "--preset", "weak_coupling", "--counts", "1e300",
+     "--noise", "poisson"],
+    ["simulate-map", "--preset", "weak_coupling", "--angles", "0:inf:10"],
+    ["simulate-map", "--preset", "weak_coupling", "--angles", "0:180:1e-12"],
+    ["spectrum", "--preset", "weak_coupling", "--temp", "nan"],
+])
+def test_bad_float_flag_is_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+    assert not out.exists()
+
+
+def test_simulate_map_rejects_non_positive_counts():
+    from vibropol import load_preset, make_grid, simulate_polarization_map
+    from vibropol.core import ValidationError
+    model = load_preset("weak_coupling")
+    grid = make_grid(1.83, 1.86, 31)
+    for counts in (-5.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            simulate_polarization_map(model, grid, [0.0, 90.0],
+                                      counts_per_point=counts)
+
+
+def test_out_in_missing_directory_fails_before_compute(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "simulate_polarization_map", no_compute)
+    monkeypatch.setattr(cli, "lineshape_density", no_compute)
+    missing = tmp_path / "missing" / "x.csv"
+    for argv in (["roundtrip"],
+                 ["spectrum", "--preset", "weak_coupling"]):
+        assert _run(argv + ["--out", str(missing), "--quiet"]) == 4
+        _assert_one_line_error(capsys, "error: io:")

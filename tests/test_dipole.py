@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vibropol.dipole as dipole
 from vibropol import (EmitterModel, NumericalError, PhononMode,
                       ValidationError, apply_strain_bias, condon_limit,
                       dipole_at_displacement, load_preset, make_grid,
                       mode_rotations, opsb_offset, orientation_vs_energy,
                       solve_gradient_for_rotation, thermal_amplification)
 from vibropol.core import wrap_orientation_scalar
+from vibropol.vibronic import (_acoustic_kernel_weights, acoustic_wing_density,
+                               full_band_grid)
 
 
 def _model(modes, psi0=0.0, mu0=1.0, **kw):
@@ -255,3 +259,111 @@ def test_opsb_offset_requires_modes():
                      equilibrium_dipole=1.0, modes=(), zpl_linewidth=1.0)
     with pytest.raises(ValidationError):
         opsb_offset(m)
+
+
+# ------------------------------------- banded sum vs dense reference
+
+def _dense_stokes(model, grid):
+    """Reference (s0, s1, s2): every line at every grid point."""
+    eff = apply_strain_bias(model)
+    shifts, weights, vx, vy = dipole._enumerate_lines(eff)
+    amp = thermal_amplification(eff)
+    sense = np.sign(eff.strain_bias)
+    a_ac = np.deg2rad(eff.acoustic_direction)
+    gac = eff.acoustic_gradient
+    ux, uy = np.cos(a_ac), np.sin(a_ac)
+    sigma_jit = gac * eff.orientation_jitter * amp / eff.equilibrium_dipole
+    jitter_dolp = float(np.exp(-2.0 * sigma_jit ** 2))
+    _, _, knorm = _acoustic_kernel_weights(eff)
+    shift_e = (eff.zpl_energy - grid.points) * 1e3
+    s = np.zeros((3, grid.n_points))
+
+    def add(w_i, x, y):
+        r2 = x * x + y * y
+        c2 = np.where(r2 > 0, (x * x - y * y) / np.where(r2 > 0, r2, 1), 0.0)
+        sn2 = np.where(r2 > 0, 2 * x * y / np.where(r2 > 0, r2, 1), 0.0)
+        s[0] += w_i.sum(axis=0)
+        s[1] += (w_i * c2).sum(axis=0) * jitter_dolp
+        s[2] += (w_i * sn2).sum(axis=0) * jitter_dolp
+
+    chunk = max(1, int(4e6) // grid.n_points)
+    for start in range(0, shifts.size, chunk):
+        sl = slice(start, start + chunk)
+        w = weights[sl][:, None]
+        bx = vx[sl][:, None]
+        by = vy[sl][:, None]
+        delta = shift_e[None, :] - shifts[sl][:, None]
+        add(w * dipole._profile_density(delta, eff.zpl_linewidth,
+                                        eff.zpl_profile) / knorm, bx, by)
+        if eff.acoustic_coupling > 0:
+            q_ac = np.sqrt(np.abs(delta) / eff.acoustic_cutoff) * amp * sense
+            q_ac = np.where(delta >= 0, -q_ac,
+                            (1.0 + dipole.ANTI_STOKES_AMPLIFICATION) * q_ac)
+            add(w * acoustic_wing_density(eff, delta) / knorm,
+                bx + gac * q_ac * ux, by + gac * q_ac * uy)
+    return s
+
+
+def _opsb_window(model):
+    # the sideband window opsb_offset sums over
+    w_lo = min(m.energy_mev for m in model.modes)
+    w_hi = max(m.energy_mev for m in model.modes)
+    pad = 6.0 * model.zpl_linewidth + 2.0
+    lo = model.zpl_energy - (w_hi + pad) * 1e-3
+    hi = model.zpl_energy - (w_lo - pad) * 1e-3
+    return make_grid(lo, hi, int((hi - lo) / 0.2e-3) + 1)
+
+
+def _window(model, name):
+    if name == "polmap":
+        return make_grid(model.zpl_energy - 0.03, model.zpl_energy + 0.03, 121)
+    if name == "opsb":
+        return _opsb_window(model)
+    return full_band_grid(model, spacing_mev=10.0)
+
+
+def _assert_matches_dense(model, grid):
+    got = dipole._stokes_sums(apply_strain_bias(model), grid)
+    ref = _dense_stokes(model, grid)
+    peak = ref[0].max()
+    assert np.abs(got - ref).max() <= 1e-12 * peak
+    curve = orientation_vs_energy(model, grid)
+    assert np.array_equal(curve.valid,
+                          ref[0] > dipole.LOW_SIGNAL_FRACTION * peak)
+
+
+BANDED_CASES = (
+    [("polmap", prof, temp, bias, 2.0)
+     for prof in ("gaussian", "lorentzian")
+     for temp in (0.0, 6.0, 300.0)
+     for bias in (1.0, -1.0)]
+    + [("polmap", prof, 300.0, 1.0, 0.0) for prof in ("gaussian", "lorentzian")]
+    + [("opsb", prof, 300.0, 1.0, 2.0) for prof in ("gaussian", "lorentzian")]
+    + [("full", "gaussian", 300.0, 1.0, 2.0), ("full", "gaussian", 6.0, -1.0, 0.0),
+       ("full", "lorentzian", 300.0, -1.0, 2.0)])
+
+
+@pytest.mark.parametrize("window,profile,temp,bias,acoustic", BANDED_CASES)
+def test_banded_sum_matches_dense(window, profile, temp, bias, acoustic):
+    model = replace(load_preset("strong_coupling", temperature_k=temp,
+                                strain_bias=bias),
+                    zpl_profile=profile, acoustic_coupling=acoustic)
+    _assert_matches_dense(model, _window(model, window))
+
+
+def test_failed_tail_check_redoes_with_every_line(monkeypatch):
+    # reaches far too short for the bound: the check must fail and the
+    # all-lines redo must reproduce the dense sum
+    model = load_preset("strong_coupling")
+    calls = []
+    sums = dipole._channel_sums
+
+    def spy(*args):
+        calls.append(args[-2:])
+        return sums(*args)
+
+    monkeypatch.setattr(dipole, "_line_reach",
+                        lambda m, budget: (0.0, m.acoustic_cutoff))
+    monkeypatch.setattr(dipole, "_channel_sums", spy)
+    _assert_matches_dense(model, _window(model, "polmap"))
+    assert calls[:2] == [(0.0, model.acoustic_cutoff), (np.inf, np.inf)]
