@@ -17,21 +17,18 @@ import numpy as np
 
 from .config import (PRESET_NAMES, load_preset, model_from_config,
                      model_to_config, read_config)
-from .core import (EmitterModel, EnergyGrid, NumericalError, Spectrum,
-                   ValidationError, make_grid)
+from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
+                   Spectrum, ValidationError, make_grid)
 from .dipole import mode_rotations, opsb_offset, orientation_vs_energy
 from .io import (read_angle_trace, read_map, read_mode_table, read_rqwp_trace,
                  write_analysis_report, write_g2_histogram, write_map,
                  write_mode_table, write_spectrum)
 from .photostats import (background_rate_for_fraction, g2_histogram,
-                         simulate_stream)
+                         histogram_bins, simulate_stream)
 from .polarimetry import (analyze_map, extract_stokes_rqwp, fit_malus,
                           simulate_polarization_map, stokes_to_ellipse)
 from .vibronic import (full_band_grid, lineshape_density, spectral_function,
                        total_dq)
-
-# largest grid a command builds, as for the renderer's internal grid
-MAX_GRID_POINTS = 2 ** 22
 
 
 def _checked_grid(lo: float, hi: float, n: int) -> EnergyGrid:
@@ -227,9 +224,12 @@ def cmd_g2(args) -> int:
             args.signal_fraction, args.signal_prob, args.rep_rate)
     else:
         background = args.background_rate
+    if not args.rep_rate > 0:
+        raise ValidationError("rep rate must be > 0")
+    period = 1e3 / args.rep_rate
+    histogram_bins(args.bin_width, args.window, period)
     stream = simulate_stream(args.signal_prob, background, args.rep_rate,
                              args.lifetime, args.duration, seed=args.seed)
-    period = 1e3 / args.rep_rate
     hist = g2_histogram(stream, args.bin_width, args.window, period)
     cfg = _run_header(args, None, signal_prob=args.signal_prob,
                       background_rate=f"{background:.12g}",

@@ -33,15 +33,19 @@ def read_config(path) -> dict:
         return parse_config(fh.read())
 
 
+def _to_float(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from None
+
+
 def _get_float(cfg: dict, key: str, default=None) -> float:
     if key not in cfg:
         if default is None:
             raise ValidationError(f"missing config key {key!r}")
         return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from None
+    return _to_float(key, cfg[key])
 
 
 def model_from_config(cfg: dict, **overrides) -> EmitterModel:
@@ -57,7 +61,7 @@ def model_from_config(cfg: dict, **overrides) -> EmitterModel:
         if len(parts) != 5:
             raise ValidationError(
                 f"mode{k} must be 'energy_mev, hr, dq, grad, grad_dir_deg'")
-        vals = [float(p) for p in parts]
+        vals = [_to_float(f"mode{k}", p) for p in parts]
         modes.append(PhononMode(*vals))
         k += 1
     acoustic_dir = cfg.get("acoustic_grad_direction_deg")
@@ -73,8 +77,9 @@ def model_from_config(cfg: dict, **overrides) -> EmitterModel:
         strain_bias=_get_float(cfg, "strain_bias", 0.0),
         zpl_profile=cfg.get("zpl_profile", "lorentzian"),
         acoustic_gradient=_get_float(cfg, "acoustic_gradient", 0.0),
-        acoustic_grad_direction=(float(acoustic_dir)
-                                 if acoustic_dir is not None else None),
+        acoustic_grad_direction=(
+            _to_float("acoustic_grad_direction_deg", acoustic_dir)
+            if acoustic_dir is not None else None),
         orientation_jitter=_get_float(cfg, "orientation_jitter", 0.0),
     )
 

@@ -19,6 +19,10 @@ KB_MEV = 8.617333262e-2
 # display conversion only: lambda[nm] = EV_NM / E[eV]
 EV_NM = 1239.841984
 
+# largest grid or histogram built on request, as for the renderer's
+# internal grid
+MAX_GRID_POINTS = 2 ** 22
+
 
 class ValidationError(ValueError):
     """Bad input: rejected before any computation starts."""
@@ -35,6 +39,13 @@ def wrap_orientation(angle_deg):
 
 def wrap_orientation_scalar(angle_deg: float) -> float:
     return float((angle_deg + 90.0) % 180.0 - 90.0)
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,8 @@ class PhononMode:
     grad_direction: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("energy_mev", "partial_hr", "partial_dq",
+                               "grad_magnitude", "grad_direction"))
         if not self.energy_mev > 0:
             raise ValidationError("mode energy must be > 0 meV")
         if self.partial_hr < 0 or self.partial_dq < 0 or self.grad_magnitude < 0:
@@ -148,6 +161,11 @@ class EmitterModel:
     orientation_jitter: float = 0.0      # scale of thermal angle wobble
 
     def __post_init__(self):
+        _require_finite(self, (
+            "zpl_energy", "equilibrium_angle", "equilibrium_dipole",
+            "zpl_linewidth", "acoustic_coupling", "acoustic_cutoff",
+            "temperature", "strain_bias", "acoustic_gradient",
+            "acoustic_grad_direction", "orientation_jitter"))
         if not self.zpl_energy > 0:
             raise ValidationError("zpl_energy must be > 0")
         if not self.zpl_linewidth > 0:

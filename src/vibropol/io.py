@@ -1,12 +1,18 @@
 """CSV readers/writers for every file format the toolkit emits.
 
 All files are UTF-8 with LF line endings and '.' decimal separators.  A
-leading block of '#' comment lines records the resolved configuration of
-the run that produced the file; readers skip it.  Numeric output carries
-at least 9 significant digits.
+leading block of '#' lines records the resolved configuration of the run
+that produced the file.  Every format goes through one writer,
+``_write_table``, and one reader, ``_read_rows``.  Files are byte-identical
+to printing each cell with ``FMT % x`` (at least 9 significant digits) row
+by row; where a column's values mostly repeat, each distinct 64-bit pattern
+is formatted once, so ``-0.0`` still prints ``-0``.  The reader parses all
+data rows with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -15,49 +21,72 @@ from .core import (EnergyGrid, PhononMode, PolarizationMap, Spectrum,
 
 FMT = "%.12g"
 
-
-def _header_block(config: dict | None) -> str:
-    if not config:
-        return ""
-    lines = [f"# {k} = {config[k]}" for k in sorted(config)]
-    return "\n".join(lines) + "\n"
+# a newline starting a line that may be blank or a '#' comment
+_MAYBE_SKIPPED = re.compile(r"\n(?=[\t-\r #])")
 
 
-def _write(path, text: str) -> None:
+def _cells(column):
+    """Row-format field and cells of a column: strings as they are, floats
+    with FMT in the pass over the rows or, where at least half the cells
+    repeat a value, from strings made once per distinct bit pattern."""
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return "%s", column
+    column = column.astype(np.float64)
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * distinct.size > column.size:
+        return FMT, column
+    strings = [FMT % v for v in distinct.view(np.float64).tolist()]
+    return "%s", np.array(strings, dtype=object)[inverse]
+
+
+def _write_table(path, header: str, columns, config: dict | None,
+                 footer: str = "") -> None:
+    """'# key = value' lines of the config, the header, one row per index
+    of the equal-length ``columns`` and the footer, in one write."""
+    fields, cells = zip(*map(_cells, columns))
+    table = np.column_stack([c.astype(object) for c in cells])
+    rows = (",".join(fields) + "\n") * table.shape[0]
+    head = "".join(f"# {k} = {config[k]}\n" for k in sorted(config or {}))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(head + header + "\n" + rows % tuple(table.ravel().tolist())
+                 + footer)
 
 
 def _read_rows(path, expected_header: str):
-    header = None
-    rows = []
-    footer = {}
+    """(rows, footer): float64 data rows, one column per header field, and
+    the 'key = value' pairs of the '#' lines, which may appear anywhere."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("# ").strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    footer[k.strip()] = v.strip()
-                continue
-            if header is None:
-                header = line
-                if header != expected_header:
-                    raise ValidationError(
-                        f"unexpected header {header!r}; expected "
-                        f"{expected_header!r}")
-                continue
-            rows.append(line.split(","))
-    if header is None:
+        text = "\n" + fh.read() + "\n"
+    footer, kept, pos = {}, [], 0
+    for m in _MAYBE_SKIPPED.finditer(text):
+        end = text.find("\n", m.end())
+        line = text[m.end():end].strip()
+        if line and not line.startswith("#"):
+            continue                         # an indented data line
+        kept.append(text[pos:m.start()])
+        pos = end
+        key, eq, value = line.lstrip("# ").strip().partition("=")
+        if eq:
+            footer[key.strip()] = value.strip()
+    lines = ("".join(kept) + text[pos:]).rstrip("\n").split("\n")[1:]
+    if not lines:
         raise ValidationError(f"no data found in {path}")
+    if lines[0].strip() != expected_header:
+        raise ValidationError(f"unexpected header {lines[0].strip()!r}; "
+                              f"expected {expected_header!r}")
+    n_cols = expected_header.count(",") + 1
+    try:
+        rows = (np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+                if len(lines) > 1 else np.empty((0, n_cols)))
+    except ValueError as exc:                # numpy adds a hint after ';'
+        raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
+    if rows.shape[1] != n_cols:
+        raise ValidationError(f"{path}: rows need {n_cols} cells")
     return rows, footer
 
 
 def _grid_from_energies(energies: np.ndarray) -> EnergyGrid:
-    energies = np.asarray(energies, dtype=float)
     if energies.size < 2:
         raise ValidationError("need at least two grid points")
     spac = np.diff(energies)
@@ -67,80 +96,61 @@ def _grid_from_energies(energies: np.ndarray) -> EnergyGrid:
     return make_grid(energies[0], energies[-1], energies.size)
 
 
-# ---------------------------------------------------------------- spectra
-
 def write_spectrum(path, spectrum: Spectrum, config: dict | None = None,
                    abscissa: str = "energy_ev") -> None:
-    lines = [_header_block(config) + f"{abscissa},intensity"]
-    for e, i in zip(spectrum.grid.points, spectrum.intensity):
-        lines.append(f"{FMT % e},{FMT % i}")
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, f"{abscissa},intensity",
+                 (spectrum.grid.points, spectrum.intensity), config)
 
 
 def read_spectrum(path, abscissa: str = "energy_ev") -> Spectrum:
-    rows, _ = _read_rows(path, f"{abscissa},intensity")
-    data = np.array(rows, dtype=float)
+    data, _ = _read_rows(path, f"{abscissa},intensity")
     return Spectrum(_grid_from_energies(data[:, 0]), data[:, 1])
 
 
-# ------------------------------------------------------------------- maps
-
 def write_map(path, pmap: PolarizationMap, config: dict | None = None) -> None:
-    lines = [_header_block(config) + "energy_ev,angle_deg,intensity"]
-    for i, e in enumerate(pmap.grid.points):
-        for j, a in enumerate(pmap.angles):
-            lines.append(f"{FMT % e},{FMT % a},{FMT % pmap.intensity[i, j]}")
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, "energy_ev,angle_deg,intensity", (
+        np.repeat(pmap.grid.points, pmap.angles.size),
+        np.tile(pmap.angles, pmap.grid.n_points), pmap.intensity.ravel()),
+        config)
 
 
 def read_map(path) -> PolarizationMap:
-    rows, _ = _read_rows(path, "energy_ev,angle_deg,intensity")
-    data = np.array(rows, dtype=float)
+    data, _ = _read_rows(path, "energy_ev,angle_deg,intensity")
     energies = np.unique(data[:, 0])
     angles = np.unique(data[:, 1])
     if energies.size * angles.size != data.shape[0]:
         raise ValidationError("map file is not a complete energy x angle grid")
-    grid = _grid_from_energies(energies)
     inten = data[:, 2].reshape(energies.size, angles.size)
     # rows are written row-major over energy then angle
     order = np.argsort(data[: angles.size, 1])
-    return PolarizationMap(grid, angles, inten[:, order])
+    return PolarizationMap(_grid_from_energies(energies), angles,
+                           inten[:, order])
 
-
-# ----------------------------------------------------------- mode tables
 
 MODE_HEADER = "energy_mev,partial_hr,partial_dq,grad_magnitude,grad_direction_deg"
 
 
 def write_mode_table(path, modes, config: dict | None = None) -> None:
-    lines = [_header_block(config) + MODE_HEADER]
-    for m in modes:
-        lines.append(",".join(FMT % v for v in (
-            m.energy_mev, m.partial_hr, m.partial_dq,
-            m.grad_magnitude, m.grad_direction)))
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, MODE_HEADER, np.array(
+        [(m.energy_mev, m.partial_hr, m.partial_dq, m.grad_magnitude,
+          m.grad_direction) for m in modes], dtype=float).reshape(-1, 5).T,
+        config)
 
 
 def read_mode_table(path) -> tuple:
-    rows, _ = _read_rows(path, MODE_HEADER)
-    return tuple(PhononMode(*(float(v) for v in row)) for row in rows)
+    data, _ = _read_rows(path, MODE_HEADER)
+    return tuple(PhononMode(*row) for row in data.tolist())
 
-
-# ---------------------------------------------------- orientation curves
 
 def write_orientation_curve(path, curve: OrientationCurve,
                             config: dict | None = None) -> None:
-    lines = [_header_block(config) + "energy_ev,psi_deg,dolp,weight,valid"]
-    for k, e in enumerate(curve.grid.points):
-        lines.append(",".join((
-            FMT % e, FMT % curve.psi[k], FMT % curve.dolp[k],
-            FMT % curve.weight[k], "1" if curve.valid[k] else "0")))
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, "energy_ev,psi_deg,dolp,weight,valid",
+                 (curve.grid.points, curve.psi, curve.dolp, curve.weight,
+                  np.where(curve.valid, "1", "0")), config)
 
 
 def read_orientation_curve(path) -> OrientationCurve:
-    rows, _ = _read_rows(path, "energy_ev,psi_deg,dolp,weight,valid")
-    data = np.array(rows, dtype=float)
+    data, _ = _read_rows(path, "energy_ev,psi_deg,dolp,weight,valid")
     return OrientationCurve(
         _grid_from_energies(data[:, 0]), data[:, 1], data[:, 2], data[:, 3],
         data[:, 4].astype(bool))
@@ -152,32 +162,23 @@ REPORT_HEADER = ("energy_ev,theta0_deg,dolp,psi_deg,chi_deg,dop,valid,"
 
 def write_analysis_report(path, curve: OrientationCurve,
                           config: dict | None = None) -> None:
-    chi = curve.chi if curve.chi is not None else np.zeros(curve.grid.n_points)
-    rms = (curve.rms_residual if curve.rms_residual is not None
-           else np.full(curve.grid.n_points, np.nan))
-    lines = [_header_block(config) + REPORT_HEADER]
-    for k, e in enumerate(curve.grid.points):
-        lines.append(",".join((
-            FMT % e, FMT % curve.psi[k], FMT % curve.dolp[k],
-            FMT % curve.psi[k], FMT % chi[k], FMT % curve.dolp[k],
-            "1" if curve.valid[k] else "0", FMT % rms[k])))
-    _write(path, "\n".join(lines) + "\n")
+    chi = np.zeros(curve.grid.n_points) if curve.chi is None else curve.chi
+    rms = (np.full(curve.grid.n_points, np.nan)
+           if curve.rms_residual is None else curve.rms_residual)
+    _write_table(path, REPORT_HEADER, (
+        curve.grid.points, curve.psi, curve.dolp, curve.psi, chi, curve.dolp,
+        np.where(curve.valid, "1", "0"), rms), config)
 
-
-# ---------------------------------------------------------- RQWP traces
 
 def write_rqwp_trace(path, qwp_angles, intensity,
                      config: dict | None = None) -> None:
-    lines = [_header_block(config) + "qwp_angle_deg,intensity"]
-    for a, i in zip(qwp_angles, intensity):
-        lines.append(f"{FMT % a},{FMT % i}")
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, "qwp_angle_deg,intensity", (qwp_angles, intensity),
+                 config)
 
 
 def read_angle_trace(path, header: str):
     """(angles, intensities) of a two-column trace with the given header."""
-    rows, _ = _read_rows(path, header)
-    data = np.array(rows, dtype=float)
+    data, _ = _read_rows(path, header)
     return data[:, 0], data[:, 1]
 
 
@@ -185,11 +186,8 @@ def read_rqwp_trace(path):
     return read_angle_trace(path, "qwp_angle_deg,intensity")
 
 
-# ------------------------------------------------------ g2 histograms
-
 def write_g2_histogram(path, hist, config: dict | None = None) -> None:
-    lines = [_header_block(config) + "tau_ns,coincidences"]
-    for t, c in zip(hist.bin_centers, hist.coincidences):
-        lines.append(f"{FMT % t},{int(c)}")
-    lines.append(f"# g2_zero={FMT % hist.g2_zero} err={FMT % hist.g2_zero_err}")
-    _write(path, "\n".join(lines) + "\n")
+    counts = np.asarray(hist.coincidences).astype(np.int64).astype(str)
+    _write_table(path, "tau_ns,coincidences", (hist.bin_centers, counts),
+                 config, footer=f"# g2_zero={FMT % hist.g2_zero} "
+                                f"err={FMT % hist.g2_zero_err}\n")

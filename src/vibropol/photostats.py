@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import MAX_GRID_POINTS, ValidationError
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,23 @@ def simulate_stream(signal_prob: float, background_rate: float,
     return PhotonStream(times_ns * 1e3, ch)
 
 
+def histogram_bins(bin_width_ns: float, window_ns: float,
+                   rep_period_ns: float) -> int:
+    """Number of histogram bins over [-window, window], after checking the
+    arguments of ``g2_histogram``; cheap, so callers can check first."""
+    if bin_width_ns <= 0 or window_ns <= 0 or rep_period_ns <= 0:
+        raise ValidationError("bin width, window and period must be positive")
+    if bin_width_ns > rep_period_ns:
+        raise ValidationError("bin_width must not exceed the rep period")
+    if window_ns < 5.0 * rep_period_ns:
+        raise ValidationError("window must span >= 5 rep periods per side")
+    n_bins = int(np.ceil(2.0 * window_ns / bin_width_ns))
+    if n_bins > MAX_GRID_POINTS:
+        raise ValidationError(f"histogram would have {n_bins} bins "
+                              f"(limit {MAX_GRID_POINTS})")
+    return n_bins
+
+
 def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
                  rep_period_ns: float) -> G2Histogram:
     """Cross-channel coincidence histogram and pulsed g2(0) estimate.
@@ -94,12 +111,7 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     The error combines Poisson counting on the center peak with the
     standard error of the side-peak sums.
     """
-    if bin_width_ns <= 0 or window_ns <= 0 or rep_period_ns <= 0:
-        raise ValidationError("bin width, window and period must be positive")
-    if bin_width_ns > rep_period_ns:
-        raise ValidationError("bin_width must not exceed the rep period")
-    if window_ns < 5.0 * rep_period_ns:
-        raise ValidationError("window must span >= 5 rep periods per side")
+    n_bins = histogram_bins(bin_width_ns, window_ns, rep_period_ns)
     t_ns = stream.time_tags * 1e-3
     t0 = t_ns[stream.channel == 0]
     t1 = t_ns[stream.channel == 1]
@@ -114,7 +126,6 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
         np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
     taus = t1[starts + offsets] - np.repeat(t0, counts)
 
-    n_bins = int(np.ceil(2.0 * window_ns / bin_width_ns))
     edges = -window_ns + bin_width_ns * np.arange(n_bins + 1)
     hist, _ = np.histogram(taus, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import eval_genlaguerre, gammaln, erf
 
-from .core import (EnergyGrid, EmitterModel, NumericalError, PhononMode,
-                   Spectrum, ValidationError, KB_MEV)
+from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, NumericalError,
+                   PhononMode, Spectrum, ValidationError, KB_MEV)
 
 
 def bose_occupation(energy_mev: float, temperature: float) -> float:
@@ -167,7 +167,7 @@ def _render_shift_spectrum(model: EmitterModel, shifts_mev, g_builder,
     hi += pad
     d = model.zpl_linewidth / 8.0
     n = int(2 ** np.ceil(np.log2((hi - lo) / d + 2)))
-    if n > 2 ** 22:
+    if n > MAX_GRID_POINTS:
         raise NumericalError(
             "internal grid would exceed 2^22 points; increase the "
             "linewidth or shrink the grid")

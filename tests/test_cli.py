@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vibropol.cli as cli
 from vibropol.cli import main
@@ -222,3 +226,127 @@ def test_out_in_missing_directory_fails_before_compute(tmp_path, capsys,
                  ["spectrum", "--preset", "weak_coupling"]):
         assert _run(argv + ["--out", str(missing), "--quiet"]) == 4
         _assert_one_line_error(capsys, "error: io:")
+
+
+# ------------------------------------------- malformed input files exit 2
+
+MAP_HEADER = "energy_ev,angle_deg,intensity\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("analyze-map", MAP_HEADER + "1.8,0,5\n1.8,0,abc\n"),      # non-numeric
+    ("analyze-map", MAP_HEADER + "1.8,0,5\n1.8,0\n"),          # ragged row
+    ("analyze-map", MAP_HEADER + "1.8,0\n1.9,0\n"),            # too few cells
+    ("analyze-map", MAP_HEADER),                               # header only
+    ("fit-malus", "angle_deg,intensity\n0,1\n10,x\n"),
+    ("modes", "energy_mev,partial_hr,partial_dq,grad_magnitude,"
+              "grad_direction_deg\n152,0.4,0.21,0.1,inf\n"),
+])
+def test_malformed_input_file_is_validation_error(tmp_path, capsys, command,
+                                                  text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    argv = [command, "--in", str(path), "--quiet"]
+    if command == "analyze-map":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert _run(argv) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+
+
+def test_g2_histogram_size_is_checked_before_the_stream(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("simulated the stream before checking bins")
+
+    monkeypatch.setattr(cli, "simulate_stream", no_stream)
+    # 2 x 500 ns / 1e-9 ns is about 1e12 bins
+    for argv in (["--bin-width", "1e-9"], ["--window", "10"],
+                 ["--rep-rate", "0"]):
+        assert _run(["g2", *argv, "--out", str(tmp_path / "g2.csv"),
+                     "--quiet"]) == 2
+        _assert_one_line_error(capsys, "error: validation:")
+
+
+@pytest.mark.parametrize("line", [
+    "mode1 = 100, 1, 0.1, abc, 0",
+    "equilibrium_dipole = inf",
+    "acoustic_grad_direction_deg = north",
+    "temperature_k = nan",
+])
+def test_bad_config_value_is_validation_error(tmp_path, capsys, line):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"zpl_energy_ev = 1.8\nzpl_linewidth_mev = 1.0\n{line}\n")
+    out = tmp_path / "s.csv"
+    assert _run(["spectrum", "--config", str(cfg), "--grid", "1.7:1.9:201",
+                 "--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+    assert not out.exists()
+
+
+# ---------------------------------------- property-based input-file fuzzer
+
+FUZZ_HEADERS = {
+    "analyze-map": "energy_ev,angle_deg,intensity",
+    "fit-malus": "angle_deg,intensity",
+    "stokes": "qwp_angle_deg,intensity",
+    "modes": ("energy_mev,partial_hr,partial_dq,grad_magnitude,"
+              "grad_direction_deg"),
+}
+_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", " ", "abc", "1e", "--1", "0x10", "1_0", "+", ".",
+                     "1;2", "\t7 "]))
+_LINE = st.one_of(
+    st.lists(_CELL, max_size=6).map(",".join),
+    st.sampled_from(["", "   ", "# note", "  # k = v", "#g2_zero=1 err=2"]))
+_HEADER = st.one_of(
+    st.sampled_from(sorted(FUZZ_HEADERS.values())),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20))
+
+
+@st.composite
+def _map_text(draw):
+    """A complete energy x angle grid, so the analysis itself runs too."""
+    n_e = draw(st.integers(2, 8))
+    angles = draw(st.lists(st.sampled_from(np.arange(0.0, 360.0, 10.0)),
+                           min_size=1, max_size=8, unique=True))
+    value = st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+        [0.0, -0.0, -1.0, float("nan"), float("inf"), 1e300]))
+    rows = [f"{1.8 + 0.001 * i!r},{a!r},{draw(value)!r}"
+            for i in range(n_e) for a in angles]
+    if draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    return FUZZ_HEADERS["analyze-map"] + "\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _fuzz_case(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_HEADERS)))
+    if command == "analyze-map" and draw(st.booleans()):
+        text = draw(_map_text())
+    elif draw(st.integers(0, 9)) == 0:
+        text = ""
+    else:
+        header = draw(st.one_of(st.just(FUZZ_HEADERS[command]), _HEADER))
+        text = "\n".join([header] + draw(st.lists(_LINE, max_size=12)))
+    return command, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_case(), mode=st.sampled_from(["analyzer", "rqwp"]))
+def test_fuzzed_input_file_exits_cleanly(tmp_path, case, mode):
+    command, text = case
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--in", str(path), "--quiet"]
+    if command == "analyze-map":
+        argv += ["--mode", mode, "--bin-width", "1",
+                 "--out", str(tmp_path / "report.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = _run(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -3,12 +3,15 @@ import pytest
 
 from vibropol import (PhononMode, Spectrum, ValidationError, load_preset,
                       make_grid, model_from_config, model_to_config)
+from vibropol import io
 from vibropol.config import parse_config, PRESET_NAMES
 from vibropol.core import OrientationCurve, PolarizationMap
-from vibropol.io import (read_map, read_mode_table, read_orientation_curve,
+from vibropol.io import (FMT, MODE_HEADER, REPORT_HEADER, read_map,
+                         read_mode_table, read_orientation_curve,
                          read_rqwp_trace, read_spectrum, write_map,
                          write_mode_table, write_orientation_curve,
                          write_rqwp_trace, write_spectrum)
+from vibropol.photostats import G2Histogram
 
 
 def test_spectrum_round_trip(tmp_path):
@@ -113,3 +116,231 @@ def test_preset_names_load():
     for name in PRESET_NAMES:
         model = load_preset(name)
         assert len(model.modes) == 4
+
+
+def test_bad_config_values_are_validation_errors():
+    base = {"zpl_energy_ev": "1.8", "zpl_linewidth_mev": "1.0"}
+    for key, value in (("mode1", "100, 1, 0.1, abc, 0"),
+                       ("mode1", "100, 1, 0.1, inf, 0"),
+                       ("equilibrium_dipole", "inf"),
+                       ("strain_bias", "nan"),
+                       ("acoustic_grad_direction_deg", "-inf")):
+        with pytest.raises(ValidationError, match="mode1|finite"):
+            model_from_config({**base, key: value})
+
+
+# ------------------------------------------- byte identity of the CSV layer
+#
+# Test-only copies of the row-by-row writers and the line-by-line reader
+# that the table writer and reader replaced.  The files of the new writer
+# must equal theirs byte for byte, and the new reader must return the same
+# float64 bits.
+
+def _old_header_block(config):
+    if not config:
+        return ""
+    return "\n".join(f"# {k} = {config[k]}" for k in sorted(config)) + "\n"
+
+
+def _old_write(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _old_write_spectrum(path, spectrum, config=None, abscissa="energy_ev"):
+    lines = [_old_header_block(config) + f"{abscissa},intensity"]
+    for e, i in zip(spectrum.grid.points, spectrum.intensity):
+        lines.append(f"{FMT % e},{FMT % i}")
+    _old_write(path, lines)
+
+
+def _old_write_map(path, pmap, config=None):
+    lines = [_old_header_block(config) + "energy_ev,angle_deg,intensity"]
+    for i, e in enumerate(pmap.grid.points):
+        for j, a in enumerate(pmap.angles):
+            lines.append(f"{FMT % e},{FMT % a},{FMT % pmap.intensity[i, j]}")
+    _old_write(path, lines)
+
+
+def _old_write_mode_table(path, modes, config=None):
+    lines = [_old_header_block(config) + MODE_HEADER]
+    for m in modes:
+        lines.append(",".join(FMT % v for v in (
+            m.energy_mev, m.partial_hr, m.partial_dq,
+            m.grad_magnitude, m.grad_direction)))
+    _old_write(path, lines)
+
+
+def _old_write_orientation_curve(path, curve, config=None):
+    lines = [_old_header_block(config) + "energy_ev,psi_deg,dolp,weight,valid"]
+    for k, e in enumerate(curve.grid.points):
+        lines.append(",".join((
+            FMT % e, FMT % curve.psi[k], FMT % curve.dolp[k],
+            FMT % curve.weight[k], "1" if curve.valid[k] else "0")))
+    _old_write(path, lines)
+
+
+def _old_write_analysis_report(path, curve, config=None):
+    chi = curve.chi if curve.chi is not None else np.zeros(curve.grid.n_points)
+    rms = (curve.rms_residual if curve.rms_residual is not None
+           else np.full(curve.grid.n_points, np.nan))
+    lines = [_old_header_block(config) + REPORT_HEADER]
+    for k, e in enumerate(curve.grid.points):
+        lines.append(",".join((
+            FMT % e, FMT % curve.psi[k], FMT % curve.dolp[k],
+            FMT % curve.psi[k], FMT % chi[k], FMT % curve.dolp[k],
+            "1" if curve.valid[k] else "0", FMT % rms[k])))
+    _old_write(path, lines)
+
+
+def _old_write_rqwp_trace(path, qwp_angles, intensity, config=None):
+    lines = [_old_header_block(config) + "qwp_angle_deg,intensity"]
+    for a, i in zip(qwp_angles, intensity):
+        lines.append(f"{FMT % a},{FMT % i}")
+    _old_write(path, lines)
+
+
+def _old_write_g2_histogram(path, hist, config=None):
+    lines = [_old_header_block(config) + "tau_ns,coincidences"]
+    for t, c in zip(hist.bin_centers, hist.coincidences):
+        lines.append(f"{FMT % t},{int(c)}")
+    lines.append(f"# g2_zero={FMT % hist.g2_zero} err={FMT % hist.g2_zero_err}")
+    _old_write(path, lines)
+
+
+def _old_read_rows(path, expected_header):
+    header = None
+    rows = []
+    footer = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("# ").strip()
+                if "=" in body:
+                    k, _, v = body.partition("=")
+                    footer[k.strip()] = v.strip()
+                continue
+            if header is None:
+                header = line
+                if header != expected_header:
+                    raise ValidationError("unexpected header")
+                continue
+            rows.append(line.split(","))
+    if header is None:
+        raise ValidationError(f"no data found in {path}")
+    return rows, footer
+
+
+_SPECIAL = np.array([0.0, -0.0, 1.0, 7.0, 1e12, 123456789012.0, 1e16, 0.1,
+                     1.0 / 3.0, 1e-300, 5e-324, 1e300, 1.7976931348623157e308,
+                     -1e-300, -1e300, -2.0])
+_NON_FINITE = np.array([np.nan, -np.nan, np.inf, -np.inf])
+
+
+def _values(rng, n, repeated, finite=True, non_negative=False):
+    """n floats over many decades, seeded with special values.  With
+    ``repeated``, most cells repeat a few integer-valued or special values,
+    so both ways the table writer formats a column are exercised."""
+    pool = np.concatenate([_SPECIAL] + ([] if finite else [_NON_FINITE]))
+    if repeated:
+        x = rng.poisson(3.0, n).astype(float)
+    else:
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    pick = rng.random(n) < (0.4 if repeated else 0.1)
+    x[pick] = rng.choice(pool, pick.sum())
+    return np.where(x < 0, -x, x) if non_negative else x    # keeps -0.0
+
+
+def _io_cases(rng, n):
+    """(header, new writer, old writer, args) for every file format; the
+    grid-based formats get at least two rows, the others n."""
+    lo, hi = [(1.8, 1.9), (1e-300, 3e-300), (1e300, 3e300), (-5.0, 5.0),
+              (0.0, 1e-3)][rng.integers(5)]
+    grid = make_grid(lo, hi, max(n, 2))
+    ng = grid.n_points
+    angles = np.unique(np.round(rng.random(5) * 180.0, 1))
+    cfg = {"seed": int(rng.integers(100)), "note": "x = y"}
+    curve = OrientationCurve(
+        grid, _values(rng, ng, False, finite=False),
+        _values(rng, ng, True, finite=False), _values(rng, ng, False),
+        rng.random(ng) < 0.7, chi=_values(rng, ng, True, finite=False),
+        rms_residual=_values(rng, ng, False, finite=False))
+    # a non-bool valid column is written by truth value
+    bare = OrientationCurve(grid, curve.psi, curve.dolp, curve.weight,
+                            rng.choice([0.0, -0.0, 1.0, 2.0, np.nan], ng))
+    hists = [G2Histogram(_values(rng, n, False, finite=False), counts, 50.0,
+                         float(rng.choice(_NON_FINITE)),
+                         float(_values(rng, 1, False)[0]))
+             for counts in (rng.poisson(2.0, n),
+                            rng.standard_normal(n) * 10.0)]
+    energy = _values(rng, n, False, non_negative=True)
+    modes = tuple(PhononMode(*row) for row in np.column_stack(
+        [np.where(energy > 0, energy, 1.0)]
+        + [_values(rng, n, r, non_negative=True) for r in (True, True, False)]
+        + [_values(rng, n, True)]).tolist())
+    cells = ng * angles.size
+    return [
+        ("energy_ev,intensity", io.write_spectrum, _old_write_spectrum,
+         (Spectrum(grid, _values(rng, ng, False, non_negative=True)), cfg)),
+        ("energy_ev,intensity", io.write_spectrum, _old_write_spectrum,
+         (Spectrum(grid, _values(rng, ng, True, non_negative=True)), None)),
+        *[("energy_ev,angle_deg,intensity", io.write_map, _old_write_map,
+           (PolarizationMap(grid, angles, _values(
+               rng, cells, r, non_negative=True).reshape(ng, angles.size)),
+            cfg)) for r in (True, False)],
+        (MODE_HEADER, io.write_mode_table, _old_write_mode_table,
+         (modes, cfg)),
+        *[("energy_ev,psi_deg,dolp,weight,valid", io.write_orientation_curve,
+           _old_write_orientation_curve, (c, cfg)) for c in (curve, bare)],
+        (REPORT_HEADER, io.write_analysis_report, _old_write_analysis_report,
+         (curve, cfg)),
+        (REPORT_HEADER, io.write_analysis_report, _old_write_analysis_report,
+         (bare, None)),
+        ("qwp_angle_deg,intensity", io.write_rqwp_trace,
+         _old_write_rqwp_trace,
+         (_values(rng, n, True, finite=False),
+          _values(rng, n, False, finite=False), cfg)),
+        # integer arrays in float columns, beyond where %d and FMT agree
+        ("qwp_angle_deg,intensity", io.write_rqwp_trace,
+         _old_write_rqwp_trace,
+         (rng.integers(-2 ** 62, 2 ** 62, n), rng.integers(0, 9, n), None)),
+        *[("tau_ns,coincidences", io.write_g2_histogram,
+           _old_write_g2_histogram, (hist, cfg)) for hist in hists],
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_table_writer_and_reader_match_row_by_row_io(tmp_path, seed, n):
+    rng = np.random.default_rng(seed)
+    for k, (header, new, old, args) in enumerate(_io_cases(rng, n)):
+        new_path, old_path = tmp_path / f"new{k}.csv", tmp_path / f"old{k}.csv"
+        new(new_path, *args)
+        old(old_path, *args)
+        assert new_path.read_bytes() == old_path.read_bytes(), (header, k)
+        rows, footer = io._read_rows(new_path, header)
+        old_rows, old_footer = _old_read_rows(new_path, header)
+        expected = np.array(old_rows, dtype=float).reshape(rows.shape)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+        assert footer == old_footer
+
+
+def test_reader_matches_line_by_line_reader_on_untidy_files(tmp_path):
+    text = ("\n  \n# a = 1\n#b=2 c=3\n   # spaced = yes\n"
+            "  energy_ev,angle_deg,intensity  \n"
+            "1.8,0,5\n\n \t \n  1.8,90, 7 \n# mid = body\n\t1.9,0,-0\n"
+            "1.9,90,1e-300\n  # tail=1 err=2\n\n")
+    path = tmp_path / "untidy.csv"
+    path.write_text(text)
+    header = "energy_ev,angle_deg,intensity"
+    rows, footer = io._read_rows(path, header)
+    old_rows, old_footer = _old_read_rows(path, header)
+    assert rows.shape == (4, 3)
+    assert np.array_equal(rows.view(np.int64),
+                          np.array(old_rows, dtype=float).view(np.int64))
+    assert footer == old_footer
+    assert read_map(path).intensity.tolist() == [[5.0, 7.0], [-0.0, 1e-300]]
