@@ -10,6 +10,7 @@ success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -19,26 +20,19 @@ from .config import (PRESET_NAMES, load_preset, model_from_config,
                      model_to_config, read_config)
 from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
                    Spectrum, ValidationError, make_grid)
-from .dipole import mode_rotations, opsb_offset, orientation_vs_energy
 from .io import (read_angle_trace, read_map, read_mode_table, read_rqwp_trace,
                  write_analysis_report, write_g2_histogram, write_map,
                  write_mode_table, write_spectrum)
 from .photostats import (background_rate_for_fraction, g2_histogram,
                          histogram_bins, simulate_stream)
-from .polarimetry import (analyze_map, extract_stokes_rqwp, fit_malus,
+from .polarimetry import (analyze_map, default_map_angles, default_map_grid,
+                          extract_stokes_rqwp, fit_malus, roundtrip_checks,
                           simulate_polarization_map, stokes_to_ellipse)
 from .vibronic import (full_band_grid, lineshape_density, spectral_function,
                        total_dq)
 
 
-def _checked_grid(lo: float, hi: float, n: int) -> EnergyGrid:
-    if n > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid would have {n} points (limit {MAX_GRID_POINTS})")
-    return make_grid(lo, hi, n)
-
-
-def _parse_grid(text: str, unit: float = 1.0) -> EnergyGrid:
+def _parse_grid(text: str) -> EnergyGrid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be min:max:n, got {text!r}")
@@ -46,7 +40,7 @@ def _parse_grid(text: str, unit: float = 1.0) -> EnergyGrid:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: {exc}") from None
-    return _checked_grid(lo * unit, hi * unit, n)
+    return make_grid(lo, hi, n)
 
 
 def _parse_angles(text: str) -> np.ndarray:
@@ -104,6 +98,15 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _report(args, lines) -> None:
+    """Write a plain-text report to --out, if given, and print it."""
+    text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
+    _emit(args, text)
+
+
 # ----------------------------------------------------------- subcommands
 
 def cmd_spectrum(args) -> int:
@@ -134,8 +137,7 @@ def cmd_spectral_function(args) -> int:
             raise ValidationError("model has no modes; give --grid-mev")
         lo = min(m.energy_mev for m in model.modes) - 8.0 * b
         hi = max(m.energy_mev for m in model.modes) + 8.0 * b
-        n = int(np.ceil((hi - lo) / (b / 8.0))) + 1
-        grid = _checked_grid(lo, hi, n)
+        grid = make_grid(lo, hi, np.ceil((hi - lo) * 8.0 / b) + 1)
     spec = spectral_function(model.modes, b, grid)
     cfg = _run_header(args, model, broadening_mev=b)
     write_spectrum(args.out, spec, cfg, abscissa="energy_mev")
@@ -143,24 +145,11 @@ def cmd_spectral_function(args) -> int:
     return 0
 
 
-def _map_defaults(model, args):
-    if args.grid:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030,
-                         601)
-    if args.angles:
-        angles = _parse_angles(args.angles)
-    elif args.mode == "analyzer":
-        angles = np.arange(0.0, 180.0, 10.0)
-    else:
-        angles = np.arange(0.0, 360.0, 10.0)
-    return grid, angles
-
-
 def cmd_simulate_map(args) -> int:
     model = _resolve_model(args)
-    grid, angles = _map_defaults(model, args)
+    grid = _parse_grid(args.grid) if args.grid else default_map_grid(model)
+    angles = (_parse_angles(args.angles) if args.angles
+              else default_map_angles(args.mode))
     pmap = simulate_polarization_map(model, grid, angles, mode=args.mode,
                                      counts_per_point=args.counts,
                                      noise=args.noise, seed=args.seed)
@@ -185,17 +174,12 @@ def cmd_analyze_map(args) -> int:
 def cmd_fit_malus(args) -> int:
     angles, inten = read_angle_trace(args.infile, "angle_deg,intensity")
     fit = fit_malus(angles, inten)
-    lines = [f"theta0_deg = {fit.theta0:.12g}",
-             f"i_max = {fit.i_max:.12g}",
-             f"i_min = {fit.i_min:.12g}",
-             f"dolp = {fit.dolp:.12g}",
-             f"rms_residual = {fit.rms_residual:.12g}",
-             f"unphysical_floor = {int(fit.unphysical_floor)}"]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    _emit(args, text)
+    _report(args, [f"theta0_deg = {fit.theta0:.12g}",
+                   f"i_max = {fit.i_max:.12g}",
+                   f"i_min = {fit.i_min:.12g}",
+                   f"dolp = {fit.dolp:.12g}",
+                   f"rms_residual = {fit.rms_residual:.12g}",
+                   f"unphysical_floor = {int(fit.unphysical_floor)}"])
     return 0
 
 
@@ -203,23 +187,16 @@ def cmd_stokes(args) -> int:
     angles, inten = read_rqwp_trace(args.infile)
     s = extract_stokes_rqwp(angles, inten)
     ell = stokes_to_ellipse(s)
-    lines = [f"s0 = {s.s0:.12g}", f"s1 = {s.s1:.12g}",
-             f"s2 = {s.s2:.12g}", f"s3 = {s.s3:.12g}",
-             f"dop = {ell.dop:.12g}", f"psi_deg = {ell.psi:.12g}",
-             f"chi_deg = {ell.chi:.12g}",
-             f"physicality_deficit = {s.physicality_deficit:.12g}"]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    _emit(args, text)
+    _report(args, [f"s0 = {s.s0:.12g}", f"s1 = {s.s1:.12g}",
+                   f"s2 = {s.s2:.12g}", f"s3 = {s.s3:.12g}",
+                   f"dop = {ell.dop:.12g}", f"psi_deg = {ell.psi:.12g}",
+                   f"chi_deg = {ell.chi:.12g}",
+                   f"physicality_deficit = {s.physicality_deficit:.12g}"])
     return 0
 
 
 def cmd_g2(args) -> int:
     if args.signal_fraction is not None:
-        if not 0.0 < args.signal_fraction <= 1.0:
-            raise ValidationError("signal fraction must lie in (0, 1]")
         background = background_rate_for_fraction(
             args.signal_fraction, args.signal_prob, args.rep_rate)
     else:
@@ -251,103 +228,12 @@ def cmd_modes(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------- roundtrip
-
-def _binned_forward_psi(model, grid, bin_width_mev):
-    """Per-bin orientation expected from the forward model (noise-free)."""
-    curve = orientation_vs_energy(model, grid)
-    p = np.where(curve.valid, curve.dolp, 0.0)
-    psi = np.deg2rad(2.0 * np.where(curve.valid, curve.psi, 0.0))
-    s0 = curve.weight
-    s1 = s0 * p * np.cos(psi)
-    s2 = s0 * p * np.sin(psi)
-    width_ev = bin_width_mev * 1e-3
-    idx = np.floor((grid.points - grid.min_energy) / width_ev
-                   + 1e-12).astype(int)
-    out = {}
-    span = grid.max_energy - grid.min_energy
-    for b in range(idx.max() + 1):
-        sel = idx == b
-        if not np.any(sel):
-            continue
-        if (span - b * width_ev) < width_ev * (1.0 - 1e-9):
-            continue                       # partial bin, dropped by analysis
-        t1, t2 = s1[sel].sum(), s2[sel].sum()
-        if np.hypot(t1, t2) <= 0:
-            out[b] = np.nan
-        else:
-            out[b] = 0.5 * np.degrees(np.arctan2(t2, t1))
-    return out
-
-
-def _angle_diff(a, b):
-    return abs((a - b + 90.0) % 180.0 - 90.0)
-
-
 def cmd_roundtrip(args) -> int:
-    checks = []
-
-    def check(case, metric, value, target, ok):
-        checks.append((case, metric, value, target, bool(ok)))
-
-    for preset in PRESET_NAMES:
-        for temp in (6.0, 300.0):
-            model = load_preset(preset, temperature_k=temp)
-            grid = make_grid(model.zpl_energy - 0.030,
-                             model.zpl_energy + 0.030, 601)
-            for mode in ("analyzer", "rqwp"):
-                angles = (np.arange(0.0, 180.0, 10.0) if mode == "analyzer"
-                          else np.arange(0.0, 360.0, 10.0))
-                pmap = simulate_polarization_map(
-                    model, grid, angles, mode=mode, counts_per_point=1e4,
-                    noise="none")
-                curve = analyze_map(pmap, mode=mode, bin_width_mev=4.0)
-                fwd = _binned_forward_psi(model, grid, 4.0)
-                devs = [_angle_diff(curve.psi[i], fwd[i])
-                        for i in range(curve.grid.n_points)
-                        if curve.valid[i] and i in fwd
-                        and np.isfinite(fwd[i])]
-                max_dev = max(devs) if devs else np.nan
-                case = f"{preset}/{temp:g}K/{mode}"
-                check(case, "max_psi_roundtrip_deg", max_dev, "<= 0.5",
-                      np.isfinite(max_dev) and max_dev <= 0.5)
-                if preset == "strong_coupling" and temp == 300.0:
-                    sweep = curve.sweep()
-                    check(case, "sweep_deg", sweep, "40 +- 2",
-                          abs(sweep - 40.0) <= 2.0)
-                    d = curve.dolp[curve.valid]
-                    check(case, "dolp_min", float(d.min()), ">= 0.55",
-                          d.min() >= 0.55)
-                    check(case, "dolp_max", float(d.max()), "<= 0.85",
-                          d.max() <= 0.85)
-                if preset == "strong_coupling" and temp == 6.0:
-                    sel = curve.valid & (curve.weight
-                                         > 0.01 * curve.weight.max())
-                    sweep = float(curve.psi[sel].max() - curve.psi[sel].min())
-                    check(case, "cold_sweep_deg", sweep, "< 2",
-                          sweep < 2.0)
-
-    model = load_preset("strong_coupling", temperature_k=300.0)
-    off = opsb_offset(model)
-    check("strong_coupling/300K", "opsb_offset_deg", off, "|x| = 5 +- 1",
-          abs(abs(off) - 5.0) <= 1.0)
-    ogrid = make_grid(model.zpl_energy - 0.175, model.zpl_energy - 0.155, 401)
-    ocurve = orientation_vs_energy(model, ogrid)
-    sel = ocurve.valid & (ocurve.weight > 0.01 * ocurve.weight.max())
-    intra = float(ocurve.psi[sel].max() - ocurve.psi[sel].min())
-    check("strong_coupling/300K", "intra_opsb_deg", intra, ">= 20",
-          intra >= 20.0)
-
-    lines = ["case,metric,value,target,pass"]
-    for case, metric, value, target, ok in checks:
-        lines.append(f"{case},{metric},{value:.6g},{target},"
-                     f"{'PASS' if ok else 'FAIL'}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    _emit(args, text)
-    return 0 if all(c[4] for c in checks) else 1
+    rows = roundtrip_checks()
+    _report(args, ["case,metric,value,target,pass"] + [
+        f"{case},{metric},{value:.6g},{target},{'PASS' if ok else 'FAIL'}"
+        for case, metric, value, target, ok in rows])
+    return 0 if all(row[4] for row in rows) else 1
 
 
 # ------------------------------------------------------------------ main
@@ -362,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=False):
         p.add_argument("--out", default="", required=out_required,
                        help="output file path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("spectrum", help="vibronic emission spectrum")
@@ -388,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=float, default=1e4,
                    help="expected counts at the map maximum")
     p.add_argument("--noise", choices=("none", "poisson"), default="none")
+    p.add_argument("--seed", type=int, default=0)
     common(p, out_required=True)
     p.set_defaults(func=cmd_simulate_map)
 
@@ -421,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", dest="bin_width", type=float, default=0.5,
                    help="ns")
     p.add_argument("--window", type=float, default=500.0, help="ns")
+    p.add_argument("--seed", type=int, default=0)
     common(p, out_required=True)
     p.set_defaults(func=cmd_g2)
 
@@ -451,8 +338,13 @@ def _check_args(args) -> None:
                 f"output directory {parent!r} does not exist")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
         return args.func(args)

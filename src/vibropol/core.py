@@ -67,6 +67,9 @@ class EnergyGrid:
             raise ValidationError(
                 f"grid bounds inverted or degenerate: "
                 f"[{self.min_energy}, {self.max_energy}]")
+        if not self.n_points <= MAX_GRID_POINTS:
+            raise ValidationError(f"grid would have {self.n_points} points "
+                                  f"(limit {MAX_GRID_POINTS})")
         if int(self.n_points) != self.n_points or self.n_points < 2:
             raise ValidationError("n_points must be an integer >= 2")
         object.__setattr__(self, "n_points", int(self.n_points))
@@ -244,15 +247,9 @@ class MapSlice:
     partial: bool = False
 
 
-def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
-    """Discretize a map into energy bins of the given width (meV).
-
-    Each slice sums the intensity of the grid points whose energy falls
-    in its bin; bins tile [min, max] starting at the grid minimum.  A
-    trailing bin narrower than bin_width is kept and flagged partial.
-    Total counts are conserved exactly.
-    """
-    grid = pmap.grid
+def _energy_bins(grid: EnergyGrid, bin_width_mev: float):
+    """Yield (mask, lo, hi, partial) for each non-empty energy bin, by
+    the binning rule ``slice_map`` documents."""
     width_ev = bin_width_mev * 1e-3
     spacing = grid.spacing
     if not bin_width_mev > 0:
@@ -266,7 +263,6 @@ def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
     idx = np.floor((energies - grid.min_energy) / width_ev + 1e-12).astype(int)
     n_bins = idx.max() + 1
     span = grid.max_energy - grid.min_energy
-    slices = []
     for b in range(n_bins):
         sel = idx == b
         if not np.any(sel):
@@ -274,9 +270,21 @@ def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
         lo = grid.min_energy + b * width_ev
         hi = min(lo + width_ev, grid.max_energy)
         partial = (span - b * width_ev) < width_ev * (1.0 - 1e-9)
-        profile = pmap.intensity[sel, :].sum(axis=0)
-        slices.append(MapSlice(0.5 * (lo + hi), profile, partial))
-    return slices
+        yield sel, lo, hi, partial
+
+
+def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
+    """Discretize a map into energy bins of the given width (meV).
+
+    Each slice sums the intensity of the grid points whose energy falls
+    in its bin; bins tile [min, max] starting at the grid minimum.  A
+    trailing bin narrower than bin_width is kept and flagged partial.
+    Total counts are conserved exactly.
+    """
+    return [MapSlice(0.5 * (lo + hi), pmap.intensity[sel, :].sum(axis=0),
+                     partial)
+            for sel, lo, hi, partial in _energy_bins(pmap.grid,
+                                                     bin_width_mev)]
 
 
 @dataclass(frozen=True)
@@ -284,14 +292,16 @@ class OrientationCurve:
     """Orientation angle and DOLP versus photon energy.
 
     ``valid`` marks bins with enough signal for the angle to be defined;
-    psi is NaN on invalid bins rather than interpolated.  ``chi`` and
-    ``rms_residual`` are filled by the analyses that produce them.
+    psi is NaN on invalid bins rather than interpolated.  ``weight`` is
+    the emission intensity: the lineshape density (1/meV) for a forward
+    curve, the summed counts of each bin for an analyzed map.  ``chi``
+    and ``rms_residual`` are filled by the analyses that produce them.
     """
 
     grid: EnergyGrid
     psi: np.ndarray        # degrees, canonical branch, NaN where invalid
     dolp: np.ndarray
-    weight: np.ndarray
+    weight: np.ndarray     # intensity: lineshape density or bin counts
     valid: np.ndarray
     chi: np.ndarray | None = None
     rms_residual: np.ndarray | None = None

@@ -32,7 +32,8 @@ from .core import (EmitterModel, EnergyGrid, NumericalError, OrientationCurve,
                    ValidationError, wrap_orientation, wrap_orientation_scalar,
                    KB_MEV)
 from .vibronic import (acoustic_wing_density, bose_occupation,
-                       _acoustic_kernel_weights, mode_line_weights)
+                       _acoustic_kernel_weights, lineshape_density,
+                       mode_line_weights)
 
 # anti-Stokes channels sample displacement sqrt(n) * (1 + this factor)
 ANTI_STOKES_AMPLIFICATION = 1.0
@@ -215,6 +216,8 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
                                    vx[keep], vy[keep])
         if shifts.size > 400000:
             raise NumericalError("vibronic line enumeration exploded")
+    if shifts.size == 0:
+        raise NumericalError("no vibronic line above the weight cutoff")
     return shifts, weights, vx, vy
 
 
@@ -259,7 +262,7 @@ def _tail_bound(model: EmitterModel, reach_s: float, reach_w: float) -> float:
                                         model.zpl_profile))
     if model.acoustic_coupling > 0 and np.isfinite(reach_w):
         c = model.acoustic_cutoff
-        bound += model.acoustic_coupling * reach_w / c ** 2 * np.exp(-reach_w / c)
+        bound += model.acoustic_coupling * reach_w / (c * c) * np.exp(-reach_w / c)
     return bound
 
 
@@ -267,7 +270,7 @@ def _jitter_dolp(model: EmitterModel) -> float:
     """Per-channel DOLP ceiling from thermal orientation wobble."""
     sigma_jit = (model.acoustic_gradient * model.orientation_jitter
                  * thermal_amplification(model) / model.equilibrium_dipole)
-    return float(np.exp(-2.0 * sigma_jit ** 2))
+    return float(np.exp(-2.0 * np.square(sigma_jit)))
 
 
 def _channel_sums(model: EmitterModel, shift_e, shifts, coef, bx, by,
@@ -364,7 +367,10 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     The lineshape is decomposed into channels (multi-mode replicas plus
     the acoustic pseudo-channel dressing each replica); channel Stokes
     vectors are summed at each photon energy and converted back to
-    (psi, DOLP).  Points below the low-signal threshold are invalid.
+    (psi, DOLP).  Points where the channel s0 is below the low-signal
+    threshold are invalid.  The curve's ``weight`` is the emission
+    intensity itself, the generating-function ``lineshape_density``;
+    the channels set only the polarization.
 
     Only the lines within a reach of each energy block are summed.  The
     ZPL profile p(d) and the acoustic wing rho(d) of a line both fall
@@ -385,15 +391,17 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     redone with every line, so no weight is dropped beyond the bound.
     """
     s0, s1, s2 = _stokes_sums(apply_strain_bias(model), grid)
+    if not np.all(np.isfinite([s0, s1, s2])):
+        raise NumericalError("channel Stokes sums overflow")
     n_e = grid.n_points
-    peak = s0.max() if s0.size else 0.0
-    valid = s0 > LOW_SIGNAL_FRACTION * peak
+    valid = s0 > LOW_SIGNAL_FRACTION * s0.max()
     psi = np.full(n_e, np.nan)
     dolp = np.zeros(n_e)
     psi[valid] = wrap_orientation(
         0.5 * np.rad2deg(np.arctan2(s2[valid], s1[valid])))
     dolp[valid] = np.hypot(s1[valid], s2[valid]) / s0[valid]
-    return OrientationCurve(grid, psi, dolp, s0, valid)
+    return OrientationCurve(grid, psi, dolp,
+                            lineshape_density(model, grid.points), valid)
 
 
 def opsb_offset(model: EmitterModel) -> float:

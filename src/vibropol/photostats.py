@@ -16,6 +16,12 @@ import numpy as np
 
 from .core import MAX_GRID_POINTS, ValidationError
 
+# largest stream simulated on request: pulses plus expected background
+# counts (about 13 s of pulses at 20 MHz)
+MAX_STREAM_EVENTS = 2 ** 28
+# largest set of in-window tag pairs g2_histogram expands (~40 B each)
+MAX_PAIRS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class PhotonStream:
@@ -68,6 +74,11 @@ def simulate_stream(signal_prob: float, background_rate: float,
         raise ValidationError(
             f"lifetime {lifetime_ns} ns too long for the {period_ns:.3g} ns "
             "pulse period (overlap guard: lifetime < period/5)")
+    n_events = (rep_rate_mhz * 1e6 + background_rate) * duration_s
+    if not n_events <= MAX_STREAM_EVENTS:
+        raise ValidationError(
+            f"stream would hold {n_events:.3g} pulses and background counts "
+            f"(limit {MAX_STREAM_EVENTS})")
     rng = np.random.default_rng(seed)
     n_pulses = int(duration_s * rep_rate_mhz * 1e6)
     sig_times = []
@@ -95,11 +106,11 @@ def histogram_bins(bin_width_ns: float, window_ns: float,
         raise ValidationError("bin_width must not exceed the rep period")
     if window_ns < 5.0 * rep_period_ns:
         raise ValidationError("window must span >= 5 rep periods per side")
-    n_bins = int(np.ceil(2.0 * window_ns / bin_width_ns))
-    if n_bins > MAX_GRID_POINTS:
-        raise ValidationError(f"histogram would have {n_bins} bins "
+    n_bins = np.ceil(2.0 * window_ns / bin_width_ns)
+    if not n_bins <= MAX_GRID_POINTS:
+        raise ValidationError(f"histogram would have {n_bins:.6g} bins "
                               f"(limit {MAX_GRID_POINTS})")
-    return n_bins
+    return int(n_bins)
 
 
 def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
@@ -120,6 +131,9 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     lo = np.searchsorted(t1, t0 - window_ns, side="left")
     hi = np.searchsorted(t1, t0 + window_ns, side="right")
     counts = hi - lo
+    if not counts.sum() <= MAX_PAIRS:
+        raise ValidationError(f"{counts.sum()} tag pairs in the window "
+                              f"(limit {MAX_PAIRS}); the stream is too dense")
     # flat index expansion of every in-window pair
     starts = np.repeat(lo, counts)
     offsets = np.arange(counts.sum()) - np.repeat(

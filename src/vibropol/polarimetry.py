@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PRESET_NAMES, load_preset
 from .core import (EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, PolarizationMap, ValidationError,
-                   slice_map, wrap_orientation_scalar)
-from .dipole import orientation_vs_energy
-from .vibronic import lineshape_density
+                   _energy_bins, make_grid, slice_map, wrap_orientation,
+                   wrap_orientation_scalar)
+from .dipole import opsb_offset, orientation_vs_energy
 
 # largest map maximum numpy's Poisson sampler accepts (its limit is ~9.2e18)
 POISSON_MAX_COUNTS = 1e18
@@ -109,6 +110,8 @@ def fit_malus(angles_deg, intensities) -> MalusFit:
     inten = np.asarray(intensities, dtype=float)
     if th.shape != inten.shape or th.ndim != 1:
         raise ValidationError("angles and intensities must be equal 1-D arrays")
+    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(inten))):
+        raise ValidationError("angles and intensities must be finite")
     if th.size < 4:
         raise ValidationError("need at least 4 samples")
     if np.ptp(th) < 135.0 - 1e-9:
@@ -197,6 +200,26 @@ def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
     return StokesVector(a - c, 2.0 * c, 2.0 * d, -b)
 
 
+def default_map_grid(model: EmitterModel) -> EnergyGrid:
+    """Default energy axis of a polarization map: ZPL +- 30 meV, 601 points."""
+    return make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030, 601)
+
+
+def default_map_angles(mode: str) -> np.ndarray:
+    """Default angles (deg) of a polarization map: 0:180:10 for an analyzer
+    map, 0:360:10 for an RQWP map."""
+    return np.arange(0.0, 180.0 if mode == "analyzer" else 360.0, 10.0)
+
+
+def _forward_stokes(curve: OrientationCurve) -> tuple:
+    """(s0, s1, s2) of a forward curve: its intensity, polarized with the
+    channel psi and DOLP where valid and unpolarized elsewhere."""
+    p = np.where(curve.valid, curve.dolp, 0.0)
+    two_psi = np.deg2rad(2.0 * np.where(curve.valid, curve.psi, 0.0))
+    s0 = curve.weight
+    return s0, s0 * p * np.cos(two_psi), s0 * p * np.sin(two_psi)
+
+
 def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
                               angles_deg, mode: str = "analyzer",
                               counts_per_point: float = 1e4,
@@ -204,11 +227,11 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
                               seed: int = 0) -> PolarizationMap:
     """Forward polarization map from the emitter model.
 
-    Per energy the channel-mixed Stokes vector from orientation_vs_energy
-    is scaled by the lineshape intensity and rendered through an ideal
-    rotating analyzer or the RQWP formula.  ``counts_per_point`` sets the
-    expected counts at the map maximum; poisson noise uses a seeded
-    deterministic generator.
+    Per energy the Stokes vector of the orientation_vs_energy curve (its
+    weight, the lineshape intensity, polarized with the channel psi and
+    DOLP) is rendered through an ideal rotating analyzer or the RQWP
+    formula.  ``counts_per_point`` sets the expected counts at the map
+    maximum; poisson noise uses a seeded deterministic generator.
     """
     if mode not in ("analyzer", "rqwp"):
         raise ValidationError(f"unknown map mode {mode!r}")
@@ -220,14 +243,7 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
         raise ValidationError(
             f"poisson noise needs counts_per_point <= {POISSON_MAX_COUNTS:g}")
     angles = np.asarray(angles_deg, dtype=float)
-    curve = orientation_vs_energy(model, grid)
-    dens = lineshape_density(model, grid.points)
-    p = np.where(curve.valid, curve.dolp, 0.0)
-    psi = np.where(curve.valid, curve.psi, 0.0)
-    two_psi = np.deg2rad(2.0 * psi)
-    s0 = dens
-    s1 = s0 * p * np.cos(two_psi)
-    s2 = s0 * p * np.sin(two_psi)
+    s0, s1, s2 = _forward_stokes(orientation_vs_energy(model, grid))
     t = np.deg2rad(angles)[None, :]
     if mode == "analyzer":
         inten = 0.5 * (s0[:, None] + s1[:, None] * np.cos(2 * t)
@@ -295,3 +311,73 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
             continue
     return OrientationCurve(grid, psi, dolp, weight, valid, chi=chi,
                             rms_residual=rms)
+
+
+def binned_forward_psi(curve: OrientationCurve,
+                       bin_width_mev: float = 4.0) -> np.ndarray:
+    """Orientation (deg) of the summed forward Stokes vector in each full
+    bin, binned as ``analyze_map`` bins a map of ``curve``; NaN where a
+    bin carries no polarization."""
+    _, s1, s2 = _forward_stokes(curve)
+    out = []
+    for sel, _, _, partial in _energy_bins(curve.grid, bin_width_mev):
+        if partial:
+            continue
+        t1, t2 = s1[sel].sum(), s2[sel].sum()
+        out.append(0.5 * np.degrees(np.arctan2(t2, t1))
+                   if np.hypot(t1, t2) > 0 else np.nan)
+    return np.array(out)
+
+
+def roundtrip_checks() -> list:
+    """(case, metric, value, target, ok) rows of the simulate/analyze
+    consistency checks: analyzed noise-free maps of both presets against
+    ``binned_forward_psi``, and the strong preset's headline numbers."""
+    rows = []
+
+    def check(case, metric, value, target, ok):
+        rows.append((case, metric, value, target, bool(ok)))
+
+    for preset in PRESET_NAMES:
+        for temp in (6.0, 300.0):
+            model = load_preset(preset, temperature_k=temp)
+            grid = default_map_grid(model)
+            for mode in ("analyzer", "rqwp"):
+                pmap = simulate_polarization_map(
+                    model, grid, default_map_angles(mode), mode=mode,
+                    counts_per_point=1e4, noise="none")
+                curve = analyze_map(pmap, mode=mode, bin_width_mev=4.0)
+                fwd = binned_forward_psi(orientation_vs_energy(model, grid))
+                sel = curve.valid & np.isfinite(fwd)
+                devs = np.abs(wrap_orientation(curve.psi[sel] - fwd[sel]))
+                max_dev = float(devs.max()) if devs.size else np.nan
+                case = f"{preset}/{temp:g}K/{mode}"
+                check(case, "max_psi_roundtrip_deg", max_dev, "<= 0.5",
+                      np.isfinite(max_dev) and max_dev <= 0.5)
+                if preset == "strong_coupling" and temp == 300.0:
+                    sweep = curve.sweep()
+                    check(case, "sweep_deg", sweep, "40 +- 2",
+                          abs(sweep - 40.0) <= 2.0)
+                    d = curve.dolp[curve.valid]
+                    check(case, "dolp_min", float(d.min()), ">= 0.55",
+                          d.min() >= 0.55)
+                    check(case, "dolp_max", float(d.max()), "<= 0.85",
+                          d.max() <= 0.85)
+                if preset == "strong_coupling" and temp == 6.0:
+                    sel = curve.valid & (curve.weight
+                                         > 0.01 * curve.weight.max())
+                    sweep = float(curve.psi[sel].max() - curve.psi[sel].min())
+                    check(case, "cold_sweep_deg", sweep, "< 2",
+                          sweep < 2.0)
+
+    model = load_preset("strong_coupling", temperature_k=300.0)
+    off = opsb_offset(model)
+    check("strong_coupling/300K", "opsb_offset_deg", off, "|x| = 5 +- 1",
+          abs(abs(off) - 5.0) <= 1.0)
+    ogrid = make_grid(model.zpl_energy - 0.175, model.zpl_energy - 0.155, 401)
+    ocurve = orientation_vs_energy(model, ogrid)
+    sel = ocurve.valid & (ocurve.weight > 0.01 * ocurve.weight.max())
+    intra = float(ocurve.psi[sel].max() - ocurve.psi[sel].min())
+    check("strong_coupling/300K", "intra_opsb_deg", intra, ">= 20",
+          intra >= 20.0)
+    return rows

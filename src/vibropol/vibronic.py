@@ -32,9 +32,10 @@ def bose_occupation(energy_mev: float, temperature: float) -> float:
         raise ValidationError("phonon energy must be > 0")
     if temperature < 0:
         raise ValidationError("temperature must be >= 0")
-    if temperature == 0:
+    kt = KB_MEV * temperature
+    if kt == 0:                      # T = 0, or so small kT underflows
         return 0.0
-    x = energy_mev / (KB_MEV * temperature)
+    x = energy_mev / kt
     if x > 700:
         return 0.0
     return 1.0 / np.expm1(x)
@@ -52,7 +53,7 @@ def debye_waller(modes, temperature: float) -> float:
 
 def total_dq(modes) -> float:
     """Total configuration coordinate displacement sqrt(sum dQ_k^2)."""
-    return float(np.sqrt(sum(m.partial_dq ** 2 for m in modes)))
+    return float(np.sqrt(sum(np.square(m.partial_dq) for m in modes)))
 
 
 def spectral_function(modes, broadening_mev: float, grid: EnergyGrid) -> Spectrum:
@@ -114,7 +115,7 @@ def acoustic_wing_density(model: EmitterModel, delta_mev):
     """
     d = np.asarray(delta_mev, dtype=float)
     c = model.acoustic_cutoff
-    rho = model.acoustic_coupling * np.abs(d) / c ** 2 * np.exp(-np.abs(d) / c)
+    rho = model.acoustic_coupling * np.abs(d) / (c * c) * np.exp(-np.abs(d) / c)
     if model.temperature > 0:
         kt = KB_MEV * model.temperature
         boltz = np.exp(-np.abs(d) / kt)
@@ -132,8 +133,8 @@ def _span_estimate(model: EmitterModel):
         n = bose_occupation(m.energy_mev, model.temperature)
         stokes += m.partial_hr * (n + 1) * m.energy_mev
         anti += m.partial_hr * n * m.energy_mev
-        var_s += m.partial_hr * (n + 1) * m.energy_mev ** 2
-        var_a += m.partial_hr * n * m.energy_mev ** 2
+        var_s += m.partial_hr * (n + 1) * np.square(m.energy_mev)
+        var_a += m.partial_hr * n * np.square(m.energy_mev)
     if model.modes:
         wmax = max(m.energy_mev for m in model.modes)
         stokes += 8.0 * wmax
@@ -143,8 +144,8 @@ def _span_estimate(model: EmitterModel):
     anti += 8.0 * np.sqrt(var_a)
     if model.acoustic_coupling > 0:
         stokes += 60.0 * model.acoustic_cutoff
-        if model.temperature > 0:
-            kt = KB_MEV * model.temperature
+        kt = KB_MEV * model.temperature
+        if kt > 0:                   # T = 0, or so small kT underflows
             anti += 40.0 / (1.0 / model.acoustic_cutoff + 1.0 / kt)
     return anti, stokes
 
@@ -166,11 +167,12 @@ def _render_shift_spectrum(model: EmitterModel, shifts_mev, g_builder,
     lo -= pad
     hi += pad
     d = model.zpl_linewidth / 8.0
-    n = int(2 ** np.ceil(np.log2((hi - lo) / d + 2)))
-    if n > MAX_GRID_POINTS:
+    n = 2 ** np.ceil(np.log2((hi - lo) / d + 2))
+    if not n <= MAX_GRID_POINTS:
         raise NumericalError(
             "internal grid would exceed 2^22 points; increase the "
             "linewidth or shrink the grid")
+    n = int(n)
     d = (hi - lo) / n
 
     tau = 2.0 * np.pi * np.fft.fftfreq(n, d=d)          # 1/meV
@@ -195,7 +197,11 @@ def _render_shift_spectrum(model: EmitterModel, shifts_mev, g_builder,
             f"weight conservation check failed after transform "
             f"(area = {area:.8f})")
     axis = lo + d * np.arange(n)
-    spline = CubicSpline(axis, dens)
+    try:
+        spline = CubicSpline(axis, dens)
+    except ValueError as exc:        # spans near the float range overflow
+        raise NumericalError(f"rendered spectrum not interpolable: {exc}"
+                             ) from None
     out = spline(shifts)
     return np.clip(out, 0.0, None)
 
@@ -219,7 +225,7 @@ def full_band_grid(model: EmitterModel, spacing_mev: float = 0.25) -> EnergyGrid
     anti, stokes = _span_estimate(model)
     lo = model.zpl_energy - stokes * 1e-3
     hi = model.zpl_energy + anti * 1e-3
-    n = int(np.ceil((hi - lo) / (spacing_mev * 1e-3))) + 1
+    n = np.ceil((hi - lo) / (spacing_mev * 1e-3)) + 1
     return EnergyGrid(lo, lo + (n - 1) * spacing_mev * 1e-3, n)
 
 
@@ -286,7 +292,8 @@ def mode_line_weights(mode: PhononMode, temperature: float,
     n = bose_occupation(mode.energy_mev, temperature)
     if n > 0:
         q = n / (n + 1.0)                    # Boltzmann factor e^{-bw}
-        i_max = int(np.ceil(np.log(1e-16) / np.log(q))) if q > 0 else 0
+        # q rounds to 1 at huge occupation: every level population is 0
+        i_max = int(np.ceil(np.log(1e-16) / np.log(q))) if 0 < q < 1 else 0
         i_max = min(i_max, 170)
     else:
         q = 0.0

@@ -13,8 +13,8 @@ from vibropol import (KB_MEV, background_rate_for_fraction, condon_limit,
                       full_band_grid, g2_histogram, g2_zero_expected,
                       lineshape, lineshape_bruteforce, lineshape_density,
                       load_preset, make_grid, mode_rotations, opsb_offset,
-                      orientation_vs_energy, simulate_stream, total_dq)
-from vibropol.cli import _angle_diff, _binned_forward_psi
+                      orientation_vs_energy, simulate_stream, total_dq,
+                      wrap_orientation)
 from vibropol.polarimetry import (MalusFit, StokesVector, analyze_map,
                                   extract_stokes_rqwp, fit_malus,
                                   malus_intensity, rqwp_intensity,
@@ -161,7 +161,7 @@ def test_09_polarimetry_exactness():
         angles = rng.uniform(0.0, 180.0 / n, 1) + np.arange(n) * (180.0 / n)
         fit = fit_malus(angles, malus_intensity(angles, truth))
         worst_malus = max(worst_malus,
-                          _angle_diff(fit.theta0, theta0),
+                          abs(wrap_orientation(fit.theta0 - theta0)),
                           abs(fit.i_max - i_max), abs(fit.i_min - i_min))
 
         s0 = float(rng.uniform(0.5, 5.0))

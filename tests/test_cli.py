@@ -106,6 +106,30 @@ def test_fit_malus_command(tmp_path, capsys):
     assert abs(float(got["dolp"]) - 100.0 / 140.0) < 1e-9
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_malus_rejects_non_finite_intensity(tmp_path, capsys, bad):
+    # a 6-angle trace with one non-finite cell: exit 2, as stokes does
+    trace = tmp_path / "trace.csv"
+    cells = ["5", "8", bad, "5", "2", "3"]
+    trace.write_text("angle_deg,intensity\n" + "".join(
+        f"{a},{c}\n" for a, c in zip(range(0, 180, 30), cells)))
+    assert _run(["fit-malus", "--in", str(trace), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--out", "x.csv"], ["spectral-function", "--out", "x.csv"],
+    ["analyze-map", "--in", "x.csv", "--out", "y.csv"],
+    ["fit-malus", "--in", "x.csv"], ["stokes", "--in", "x.csv"],
+    ["modes", "--in", "x.csv"], ["roundtrip"]])
+def test_seed_only_where_there_is_randomness(capsys, argv):
+    # simulate-map and g2 draw random numbers; no other command takes --seed
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
 def test_stokes_command(tmp_path, capsys):
     trace = tmp_path / "rqwp.csv"
     angles = np.arange(16) * 22.5
@@ -283,6 +307,90 @@ def test_bad_config_value_is_validation_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+SMALL_MAP = ["simulate-map", "--grid", "1.82:1.88:61", "--angles", "0:150:30"]
+
+
+@pytest.mark.parametrize("argv,line,code", [
+    # a 1e300 meV linewidth: the rendered spectrum overflows the spline
+    (["spectrum", "--grid", "1.80:1.86:61"], "zpl_linewidth_mev = 1e300", 3),
+    # the Boltzmann factor rounds to 1, so no level keeps a population
+    # (was an OverflowError)
+    (SMALL_MAP, "temperature_k = 1e300", 3),
+    (SMALL_MAP, "mode1 = 1e-300, 1, 0.2, 0.1, 0", 3),
+    # span estimate overflows (was a raw OverflowError)
+    (["spectrum", "--grid", "1.80:1.86:61"], "mode1 = 1e300, 1, 0.2, 0.1, 0",
+     3),
+    # every line below the weight cutoff
+    (SMALL_MAP, "mode1 = 150, 1e300, 0.2, 0.1, 0", 3),
+    # the full-band grid is capped like every other grid
+    (["spectrum"], "zpl_linewidth_mev = 1e6", 2),
+])
+def test_extreme_config_value_exits_cleanly(tmp_path, capsys, argv, line,
+                                            code):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1.0\n"
+                   f"mode1 = 160, 1, 0.2, 0.1, 10\n{line}\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run([*argv, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == code
+    _assert_one_line_error(capsys, "error: numerical:" if code == 3
+                           else "error: validation:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "--background-rate", "1e300"],  # was "lam value too large"
+    ["g2", "--signal-fraction", "1e-300"],
+    ["g2", "--duration", "1e300"],         # was an endless pulse loop
+    # 2e6 background tags in 1e-300 s: 1e12 pairs (was a 7 TiB request)
+    ["g2", "--signal-fraction", "1e-300", "--duration", "1e-300"],
+    # 5e-324 is the smallest subnormal: bin counts and grid sizes
+    # overflow to inf, and b/8 underflows to 0 (was ZeroDivisionError)
+    ["g2", "--bin-width", "5e-324"],
+    ["spectral-function", "--preset", "weak_coupling", "--broadening",
+     "5e-324"],
+])
+def test_extreme_flag_value_is_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+    assert not out.exists()
+
+
+def test_underflowing_temperature_is_zero_kelvin(tmp_path):
+    # k_B T underflows to 0 at 5e-324 K (was ZeroDivisionError)
+    spectra = []
+    for temp in ("0", "5e-324"):
+        out = tmp_path / f"s{temp}.csv"
+        with warnings.catch_warnings():      # the wing's d / kT at kT = 0
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _run(["spectrum", "--preset", "weak_coupling", "--grid",
+                         "1.80:1.86:61", "--temp", temp, "--out", str(out),
+                         "--quiet"]) == 0
+        spectra.append(read_spectrum(out).intensity)
+    # T > 0 widens the renderer's internal anti-Stokes span, which moves
+    # the interpolated density by ~2e-5 of the peak
+    zero, tiny = spectra
+    assert np.allclose(tiny, zero, rtol=0, atol=1e-4 * zero.max())
+
+
+def test_huge_acoustic_gradient_is_numerical_error(tmp_path, capsys):
+    # squaring the jitter sigma raised an OverflowError; with that fixed,
+    # the wing channel axes overflow to NaN, which must end as a numerical
+    # error instead of reaching the map
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("acoustic_gradient = 1e300\n")
+    out = tmp_path / "map.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run([*SMALL_MAP, "--preset", "strong_coupling", "--config",
+                     str(cfg), "--out", str(out), "--quiet"]) == 3
+    _assert_one_line_error(capsys, "error: numerical:")
+    assert not out.exists()
+
+
 # ---------------------------------------- property-based input-file fuzzer
 
 FUZZ_HEADERS = {
@@ -349,4 +457,106 @@ def test_fuzzed_input_file_exits_cleanly(tmp_path, case, mode):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = _run(argv)
     assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# ------------------------------------- property-based flag and config fuzzer
+
+_SPECIAL = ["nan", "inf", "-inf", "0", "-0", "-1", "-1e300", "5e-324",
+            "1e-300", "1e300"]
+# float flags of each command, drawn from _SPECIAL or a few ordinary
+# values; the fixed arguments keep every run small (61-point grids, six
+# angles), and g2 always gets a --duration of at most 0.05 s or one that
+# is rejected at once
+FUZZ_FLAGS = {
+    "spectrum": (["--preset", "weak_coupling", "--grid", "1.80:1.86:61"],
+                 {"--temp": ["6", "300"], "--strain-bias": ["0.5"]}),
+    "spectral-function": (["--preset", "weak_coupling"],
+                          {"--broadening": ["0.5", "2"], "--temp": ["300"],
+                           "--strain-bias": ["-1"]}),
+    "simulate-map": (["--preset", "strong_coupling", "--grid",
+                      "1.82:1.88:61", "--angles", "0:150:30"],
+                     {"--temp": ["6", "300"], "--strain-bias": ["1"],
+                      "--counts": ["1e4"]}),
+    "analyze-map": ([], {"--bin-width": ["1", "4"]}),
+    "g2": ([], {"--signal-fraction": ["0.9"], "--background-rate": ["1e4"],
+                "--signal-prob": ["0.1"], "--rep-rate": ["20"],
+                "--lifetime": ["2"], "--bin-width": ["0.5"],
+                "--window": ["500"]}),
+}
+_DURATIONS = ["nan", "-inf", "0", "-0", "-1", "-1e300", "1e-300", "0.01",
+              "0.05"]
+_CONFIG_KEYS = ["zpl_energy_ev", "equilibrium_angle_deg", "equilibrium_dipole",
+                "zpl_linewidth_mev", "zpl_profile", "acoustic_coupling",
+                "acoustic_cutoff_mev", "temperature_k", "strain_bias",
+                "acoustic_gradient", "acoustic_grad_direction_deg",
+                "orientation_jitter", "mode1", "mode2", "mode5", "unknown"]
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from(_SPECIAL + ["", "abc", "gaussian", "lorentzian"]),
+    st.lists(st.sampled_from(_SPECIAL + ["150", "1", "0.2", "abc", ""]),
+             max_size=6).map(", ".join))
+_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUE),
+    st.sampled_from(["no equals sign", "= 1", "a = b = c", "# note", "",
+                     "mode1 =", "  mode1=160,1,0.2,0.1,10  # ok"]))
+
+
+@st.composite
+def _flag_case(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    fixed, flags = FUZZ_FLAGS[command]
+    argv = [command, *fixed]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv += [flag, draw(st.sampled_from(_SPECIAL + flags[flag]))]
+    if command == "g2":
+        argv += ["--duration", draw(st.sampled_from(_DURATIONS))]
+    if command == "simulate-map":
+        argv += ["--noise", draw(st.sampled_from(["none", "poisson"]))]
+    return argv, None
+
+
+@st.composite
+def _config_case(draw):
+    command = draw(st.sampled_from(["spectrum", "simulate-map"]))
+    fixed = FUZZ_FLAGS[command][0][2:]             # all but the preset
+    lines = draw(st.lists(_CONFIG_LINE, min_size=1, max_size=4))
+    return [command, *fixed], "\n".join(lines) + "\n"
+
+
+def _fuzz_map_text():
+    angles = np.arange(0.0, 180.0, 30.0)
+    inten = 100.0 + 50.0 * np.cos(np.deg2rad(2.0 * angles))
+    rows = [f"{e:.12g},{a:.12g},{i:.12g}" for e in np.linspace(1.80, 1.86, 61)
+            for a, i in zip(angles, inten)]
+    return "energy_ev,angle_deg,intensity\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(_flag_case(), _config_case()),
+       preset=st.booleans())
+def test_fuzzed_flags_and_config_exit_cleanly(tmp_path, case, preset):
+    argv, config = case
+    if config is not None:
+        # the drawn lines follow, and override, a small complete model
+        path = tmp_path / "model.cfg"
+        path.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1.0\n"
+                        "mode1 = 160, 1, 0.2, 0.1, 10\n" + config,
+                        encoding="utf-8")
+        argv += ["--config", str(path)]
+        if preset:
+            argv += ["--preset", "weak_coupling"]
+    if argv[0] == "analyze-map":
+        path = tmp_path / "map.csv"
+        path.write_text(_fuzz_map_text(), encoding="utf-8")
+        argv += ["--in", str(path)]
+    argv += ["--out", str(tmp_path / "out.csv"), "--quiet"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = _run(argv)
+        except SystemExit as exc:          # argparse rejects the flag
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()

@@ -12,7 +12,7 @@ from vibropol import (EmitterModel, NumericalError, PhononMode,
                       solve_gradient_for_rotation, thermal_amplification)
 from vibropol.core import wrap_orientation_scalar
 from vibropol.vibronic import (_acoustic_kernel_weights, acoustic_wing_density,
-                               full_band_grid)
+                               full_band_grid, lineshape_density)
 
 
 def _model(modes, psi0=0.0, mu0=1.0, **kw):
@@ -341,6 +341,20 @@ BANDED_CASES = (
     + [("opsb", prof, 300.0, 1.0, 2.0) for prof in ("gaussian", "lorentzian")]
     + [("full", "gaussian", 300.0, 1.0, 2.0), ("full", "gaussian", 6.0, -1.0, 0.0),
        ("full", "lorentzian", 300.0, -1.0, 2.0)])
+
+
+@pytest.mark.parametrize("name,profile,temp", [
+    (name, "gaussian", temp) for name in ("weak_coupling", "strong_coupling")
+    for temp in (0.0, 6.0, 300.0)] + [("strong_coupling", "lorentzian", 300.0)])
+def test_curve_weight_is_the_lineshape(name, profile, temp):
+    # one emission intensity: the curve carries the generating-function
+    # lineshape itself, not the channel s0
+    model = replace(load_preset(name, temperature_k=temp), zpl_profile=profile)
+    for window in ("polmap", "opsb"):
+        grid = _window(model, window)
+        curve = orientation_vs_energy(model, grid)
+        assert np.array_equal(curve.weight,
+                              lineshape_density(model, grid.points))
 
 
 @pytest.mark.parametrize("window,profile,temp,bias,acoustic", BANDED_CASES)

@@ -187,16 +187,17 @@ def test_condon_map_identical_theta0():
 
 
 def test_noiseless_round_trip_analyzer():
-    from vibropol.cli import _angle_diff, _binned_forward_psi
+    from vibropol import orientation_vs_energy, wrap_orientation
+    from vibropol.polarimetry import binned_forward_psi
     model = load_preset("strong_coupling")
     grid = _zpl_grid(model)
     angles = np.arange(0.0, 180.0, 10.0)
     pmap = simulate_polarization_map(model, grid, angles)
     curve = analyze_map(pmap)
-    fwd = _binned_forward_psi(model, grid, 4.0)
-    devs = [_angle_diff(curve.psi[i], fwd[i])
+    fwd = binned_forward_psi(orientation_vs_energy(model, grid), 4.0)
+    devs = [abs(wrap_orientation(curve.psi[i] - fwd[i]))
             for i in range(curve.grid.n_points)
-            if curve.valid[i] and i in fwd and np.isfinite(fwd[i])]
+            if curve.valid[i] and np.isfinite(fwd[i])]
     assert devs and max(devs) < 0.5
 
 

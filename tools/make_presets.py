@@ -21,6 +21,7 @@ from vibropol import (EmitterModel, PhononMode, analyze_map, make_grid,
                       orientation_vs_energy, simulate_polarization_map,
                       solve_gradient_for_rotation)
 from vibropol.dipole import thermal_amplification
+from vibropol.polarimetry import default_map_angles, default_map_grid
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src/vibropol/presets"
 
@@ -75,15 +76,11 @@ def build_model(spec, acoustic_gradient=0.0, jitter=0.0, temperature=300.0,
         acoustic_gradient=acoustic_gradient, orientation_jitter=jitter)
 
 
-def zpl_band_grid(model):
-    return make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030, 601)
-
-
 def analyzed_curve(model):
-    grid = zpl_band_grid(model)
-    angles = np.arange(0.0, 180.0, 10.0)
-    pmap = simulate_polarization_map(model, grid, angles, mode="analyzer",
-                                     counts_per_point=1e4, noise="none")
+    pmap = simulate_polarization_map(model, default_map_grid(model),
+                                     default_map_angles("analyzer"),
+                                     mode="analyzer", counts_per_point=1e4,
+                                     noise="none")
     return analyze_map(pmap, mode="analyzer", bin_width_mev=4.0)
 
 
@@ -132,17 +129,17 @@ def dolp_band(model):
     return float(d.min()), float(d.max())
 
 
-def write_preset(model, name, notes):
+def render_preset(model, name, notes):
+    """Text of a preset config file."""
     cfg = model_to_config(model)
     lines = [f"# {name} preset: synthetic 4-mode emitter"]
     lines += [f"# {n}" for n in notes]
     lines += [f"{k} = {v}" for k, v in cfg.items()]
-    path = PRESET_DIR / f"{name}.cfg"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    return "\n".join(lines) + "\n"
 
 
-def main():
+def calibrate():
+    """Run the calibration; return {preset name: config file text}."""
     chosen = None
     for dtheta in STRONG_DTHETA_CANDIDATES:
         g, sweep = bisect_gradient(STRONG_BASE, dtheta)
@@ -179,12 +176,23 @@ def main():
         "sweep at 300 K (strong preset, noiseless analyzer map, 4 meV bins);",
         "orientation_jitter set so the recovered DOLP tops out near 0.78",
     ]
-    write_preset(weak, "weak_coupling",
-                 ["total HR 2.71, total dQ 0.42, max rotation 2.7 deg"]
-                 + notes_common)
-    write_preset(strong, "strong_coupling",
-                 ["total HR 5.96, total dQ 0.87, max rotation 10 deg"]
-                 + notes_common)
+    return {
+        "weak_coupling": render_preset(
+            weak, "weak_coupling",
+            ["total HR 2.71, total dQ 0.42, max rotation 2.7 deg"]
+            + notes_common),
+        "strong_coupling": render_preset(
+            strong, "strong_coupling",
+            ["total HR 5.96, total dQ 0.87, max rotation 10 deg"]
+            + notes_common),
+    }
+
+
+def main():
+    for name, text in calibrate().items():
+        path = PRESET_DIR / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
