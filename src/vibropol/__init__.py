@@ -4,7 +4,7 @@ with coordinate-dependent transition dipoles."""
 from .core import (EnergyGrid, EmitterModel, MapSlice, NumericalError,
                    OrientationCurve, PhononMode, PolarizationMap, Spectrum,
                    ValidationError, condon_limit, make_grid, slice_map,
-                   wrap_orientation, KB_EV, KB_MEV, EV_NM)
+                   wrap_orientation, KB_MEV)
 from .vibronic import (bose_occupation, debye_waller, full_band_grid,
                        lineshape, lineshape_bruteforce, lineshape_density,
                        spectral_function, total_dq)

@@ -112,7 +112,7 @@ def _report(args, lines) -> None:
 def cmd_spectrum(args) -> int:
     model = _resolve_model(args)
     grid = _parse_grid(args.grid) if args.grid else full_band_grid(model)
-    dens = lineshape_density(model, grid.points)
+    dens = lineshape_density(model, grid)
     area = np.trapezoid(dens, grid.points * 1e3)
     if area <= 0:
         raise NumericalError("no spectral weight on the requested grid")

@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-# Boltzmann constant, eV/K and meV/K
-KB_EV = 8.617333262e-5
+# Boltzmann constant, meV/K
 KB_MEV = 8.617333262e-2
-
-# display conversion only: lambda[nm] = EV_NM / E[eV]
-EV_NM = 1239.841984
 
 # largest grid or histogram built on request, as for the renderer's
 # internal grid

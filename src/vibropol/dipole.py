@@ -29,8 +29,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from .core import (EmitterModel, EnergyGrid, NumericalError, OrientationCurve,
-                   ValidationError, wrap_orientation, wrap_orientation_scalar,
-                   KB_MEV)
+                   ValidationError, wrap_orientation, wrap_orientation_scalar)
 from .vibronic import (acoustic_wing_density, bose_occupation,
                        _acoustic_kernel_weights, lineshape_density,
                        mode_line_weights)
@@ -401,7 +400,7 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
         0.5 * np.rad2deg(np.arctan2(s2[valid], s1[valid])))
     dolp[valid] = np.hypot(s1[valid], s2[valid]) / s0[valid]
     return OrientationCurve(grid, psi, dolp,
-                            lineshape_density(model, grid.points), valid)
+                            lineshape_density(model, grid), valid)
 
 
 def opsb_offset(model: EmitterModel) -> float:

@@ -142,20 +142,6 @@ def read_mode_table(path) -> tuple:
     return tuple(PhononMode(*row) for row in data.tolist())
 
 
-def write_orientation_curve(path, curve: OrientationCurve,
-                            config: dict | None = None) -> None:
-    _write_table(path, "energy_ev,psi_deg,dolp,weight,valid",
-                 (curve.grid.points, curve.psi, curve.dolp, curve.weight,
-                  np.where(curve.valid, "1", "0")), config)
-
-
-def read_orientation_curve(path) -> OrientationCurve:
-    data, _ = _read_rows(path, "energy_ev,psi_deg,dolp,weight,valid")
-    return OrientationCurve(
-        _grid_from_energies(data[:, 0]), data[:, 1], data[:, 2], data[:, 3],
-        data[:, 4].astype(bool))
-
-
 REPORT_HEADER = ("energy_ev,theta0_deg,dolp,psi_deg,chi_deg,dop,valid,"
                  "rms_residual")
 

@@ -189,7 +189,7 @@ def test_10_detailed_balance():
             modes=(PhononMode(omega, 0.25, 0.3),), zpl_linewidth=1.0,
             temperature=300.0, zpl_profile="gaussian")
         grid = full_band_grid(model, 0.05)
-        dens = lineshape_density(model, grid.points)
+        dens = lineshape_density(model, grid)
         e = grid.points
         half = min(0.45 * omega, 20.0)
 

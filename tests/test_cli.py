@@ -376,6 +376,21 @@ def test_underflowing_temperature_is_zero_kelvin(tmp_path):
     assert np.allclose(tiny, zero, rtol=0, atol=1e-4 * zero.max())
 
 
+def test_underflowing_temperature_writes_the_zero_kelvin_csv(tmp_path):
+    # every temperature branch goes through one k_B T that underflows to 0,
+    # so only the header line naming the temperature differs
+    lines = []
+    for temp in ("0", "5e-324"):
+        out = tmp_path / f"s{temp}.csv"
+        assert _run(["spectrum", "--preset", "strong_coupling", "--grid",
+                     "1.80:1.86:61", "--temp", temp, "--out", str(out),
+                     "--quiet"]) == 0
+        lines.append([line for line in out.read_bytes().splitlines(True)
+                      if not line.startswith(b"# temperature_k =")])
+    zero, tiny = lines
+    assert len(zero) > 61 and tiny == zero
+
+
 def test_huge_acoustic_gradient_is_numerical_error(tmp_path, capsys):
     # squaring the jitter sigma raised an OverflowError; with that fixed,
     # the wing channel axes overflow to NaN, which must end as a numerical

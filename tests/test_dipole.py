@@ -354,7 +354,7 @@ def test_curve_weight_is_the_lineshape(name, profile, temp):
         grid = _window(model, window)
         curve = orientation_vs_energy(model, grid)
         assert np.array_equal(curve.weight,
-                              lineshape_density(model, grid.points))
+                              lineshape_density(model, grid))
 
 
 @pytest.mark.parametrize("window,profile,temp,bias,acoustic", BANDED_CASES)

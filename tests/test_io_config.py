@@ -7,10 +7,9 @@ from vibropol import io
 from vibropol.config import parse_config, PRESET_NAMES
 from vibropol.core import OrientationCurve, PolarizationMap
 from vibropol.io import (FMT, MODE_HEADER, REPORT_HEADER, read_map,
-                         read_mode_table, read_orientation_curve,
-                         read_rqwp_trace, read_spectrum, write_map,
-                         write_mode_table, write_orientation_curve,
-                         write_rqwp_trace, write_spectrum)
+                         read_mode_table, read_rqwp_trace, read_spectrum,
+                         write_map, write_mode_table, write_rqwp_trace,
+                         write_spectrum)
 from vibropol.photostats import G2Histogram
 
 
@@ -44,19 +43,6 @@ def test_mode_table_round_trip(tmp_path):
     write_mode_table(path, modes)
     back = read_mode_table(path)
     assert back == modes
-
-
-def test_orientation_curve_round_trip(tmp_path):
-    grid = make_grid(1.8, 1.9, 5)
-    curve = OrientationCurve(grid, np.array([0.0, 1.0, np.nan, 3.0, 4.0]),
-                             np.linspace(0.5, 0.9, 5), np.ones(5),
-                             np.array([True, True, False, True, True]))
-    path = tmp_path / "c.csv"
-    write_orientation_curve(path, curve)
-    back = read_orientation_curve(path)
-    assert np.array_equal(back.valid, curve.valid)
-    assert np.allclose(back.psi[back.valid.astype(bool)],
-                       curve.psi[curve.valid.astype(bool)])
 
 
 def test_rqwp_trace_round_trip(tmp_path):
@@ -168,15 +154,6 @@ def _old_write_mode_table(path, modes, config=None):
         lines.append(",".join(FMT % v for v in (
             m.energy_mev, m.partial_hr, m.partial_dq,
             m.grad_magnitude, m.grad_direction)))
-    _old_write(path, lines)
-
-
-def _old_write_orientation_curve(path, curve, config=None):
-    lines = [_old_header_block(config) + "energy_ev,psi_deg,dolp,weight,valid"]
-    for k, e in enumerate(curve.grid.points):
-        lines.append(",".join((
-            FMT % e, FMT % curve.psi[k], FMT % curve.dolp[k],
-            FMT % curve.weight[k], "1" if curve.valid[k] else "0")))
     _old_write(path, lines)
 
 
@@ -293,8 +270,6 @@ def _io_cases(rng, n):
             cfg)) for r in (True, False)],
         (MODE_HEADER, io.write_mode_table, _old_write_mode_table,
          (modes, cfg)),
-        *[("energy_ev,psi_deg,dolp,weight,valid", io.write_orientation_curve,
-           _old_write_orientation_curve, (c, cfg)) for c in (curve, bare)],
         (REPORT_HEADER, io.write_analysis_report, _old_write_analysis_report,
          (curve, cfg)),
         (REPORT_HEADER, io.write_analysis_report, _old_write_analysis_report,

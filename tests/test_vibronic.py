@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
+import vibropol.vibronic as vibronic
 from vibropol import (EmitterModel, NumericalError, PhononMode,
                       ValidationError, bose_occupation, debye_waller,
                       full_band_grid, lineshape, lineshape_bruteforce,
-                      lineshape_density, make_grid, spectral_function,
-                      total_dq, KB_MEV)
+                      lineshape_density, load_preset, make_grid,
+                      spectral_function, total_dq, KB_MEV)
 from vibropol.vibronic import acoustic_wing_density
 
 
@@ -183,12 +189,131 @@ def test_detailed_balance_single_mode():
         model = _model([_mode(omega, 0.25)], temperature=300.0,
                        linewidth=1.0)
         grid = full_band_grid(model, 0.05)
-        dens = lineshape_density(model, grid.points)
+        dens = lineshape_density(model, grid)
         half = min(0.45 * omega, 20.0)
         ws = _peak_weight(grid, dens, model.zpl_energy - omega * 1e-3, half)
         was = _peak_weight(grid, dens, model.zpl_energy + omega * 1e-3, half)
         expected = math.exp(-omega / (KB_MEV * 300.0))
         assert abs(was / ws - expected) < 1e-4 * expected
+
+
+# ------------------------------------------------------------- renderer
+
+def _map_window(model, spacing_mev=0.1):
+    n = int(round(60.0 / spacing_mev)) + 1
+    return make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030, n)
+
+
+def _refined(model, grid, factor):
+    """grid with its end points kept and the renderer's internal step
+    divided by factor (the step is spacing/k, k = ceil(spacing/(lw/8)))."""
+    k = math.ceil(grid.spacing * 1e3 / (model.zpl_linewidth / 8.0))
+    return make_grid(grid.min_energy, grid.max_energy,
+                     (grid.n_points - 1) * k * factor + 1), k * factor
+
+
+@pytest.mark.parametrize("window", ["map", "full"])
+@pytest.mark.parametrize("temp", [0.0, 6.0, 300.0])
+@pytest.mark.parametrize("preset", ["strong_coupling", "weak_coupling"])
+def test_gaussian_render_matches_eight_times_finer_step(preset, temp, window):
+    # the render holds exact samples, so a finer internal step moves them
+    # only by the truncated time signal (~1e-25 of the peak) and by the
+    # weight beyond the span that wraps onto a slightly different period
+    model = replace(load_preset(preset, temperature_k=temp),
+                    zpl_profile="gaussian")
+    grid = _map_window(model) if window == "map" else full_band_grid(model)
+    fine, stride = _refined(model, grid, 8)
+    a = lineshape_density(model, grid)
+    b = lineshape_density(model, fine)[::stride]
+    assert np.max(np.abs(a - b)) <= 1e-9 * a.max()
+
+
+def test_single_mode_is_poisson_sticks_times_gaussian():
+    s_hr, omega, lw = 1.3, 165.0, 1.0
+    model = _model([_mode(omega, s_hr)], linewidth=lw)
+    grid = full_band_grid(model, 0.1)
+    shift = (model.zpl_energy - grid.points) * 1e3
+    sigma = lw / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    ref = np.zeros_like(shift)
+    for n in range(80):
+        w = math.exp(-s_hr + n * math.log(s_hr) - math.lgamma(n + 1))
+        ref += w * np.exp(-0.5 * ((shift - n * omega) / sigma) ** 2)
+    ref /= sigma * math.sqrt(2.0 * math.pi)
+    dens = lineshape_density(model, grid)
+    assert np.max(np.abs(dens - ref)) <= 1e-12 * ref.max()
+
+
+def _ramp_times_gaussian(x, a, sigma):
+    """integral over u > 0 of u e^{-a u} N(x - u; sigma) du, closed form"""
+    mu = x - a * sigma * sigma
+    z = mu / sigma
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * erfc(-z / math.sqrt(2.0))
+    return np.exp(-a * x + 0.5 * (a * sigma) ** 2) * (mu * cdf + sigma * phi)
+
+
+def test_closed_form_wing_matches_gaussian_convolution():
+    # no optical mode: the ZPL plus the two-sided wing rho(d) = w d/c^2
+    # e^{-d/c} (anti-Stokes with an extra e^{-|d|/kT}), Gaussian profile
+    w, c, temp = 1.5, 2.0, 300.0
+    model = _model([], temperature=temp, linewidth=1.0,
+                   acoustic_coupling=w, acoustic_cutoff=c)
+    grid = make_grid(model.zpl_energy - 0.04, model.zpl_energy + 0.03, 141)
+    shift = (model.zpl_energy - grid.points) * 1e3
+    sigma = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    kt = KB_MEV * temp
+    zpl = np.exp(-0.5 * (shift / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    wing = w / c ** 2 * (_ramp_times_gaussian(shift, 1.0 / c, sigma)
+                         + _ramp_times_gaussian(-shift, 1.0 / c + 1.0 / kt,
+                                                sigma))
+    knorm = 1.0 + w + w * (kt / (kt + c)) ** 2
+    ref = (zpl + wing) / knorm
+    dens = lineshape_density(model, grid)
+    assert np.max(np.abs(dens - ref)) <= 1e-12 * ref.max()
+
+
+# largest error of the spline renderer this one replaced, against the
+# reference below (ZPL +- 30 meV, 481 points)
+SHIPPED_LORENTZIAN_ERROR = {0.0: 2.3e-4, 300.0: 5.6e-4}
+
+
+@pytest.mark.parametrize("temp", [0.0, 300.0])
+def test_lorentzian_render_against_longer_finer_reference(temp, monkeypatch):
+    # the algebraic Lorentzian tail wraps around the FFT period; the
+    # reference has 16x the period and 1/8 of the step
+    model = replace(load_preset("strong_coupling", temperature_k=temp),
+                    zpl_profile="lorentzian")
+    grid = _map_window(model, 0.125)
+    got = lineshape_density(model, grid)
+    span = vibronic._span_estimate
+    monkeypatch.setattr(vibronic, "_span_estimate",
+                        lambda m: tuple(16.0 * x for x in span(m)))
+    monkeypatch.setattr(vibronic, "MAX_GRID_POINTS", 2 ** 24)
+    fine, stride = _refined(model, grid, 8)
+    ref = lineshape_density(model, fine)[::stride]
+    err = np.max(np.abs(got - ref)) / ref.max()
+    assert err <= 5e-5 and err < SHIPPED_LORENTZIAN_ERROR[temp]
+
+
+def test_too_fine_grid_names_the_finest_spacing():
+    model = load_preset("strong_coupling", temperature_k=300.0)
+    grid = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
+    with pytest.raises(NumericalError, match="finest grid spacing allowed "
+                                             "is 1.69e-06 eV"):
+        lineshape_density(model, grid)
+    # no spacing helps when linewidth/8 is finer than that
+    with pytest.raises(NumericalError, match="widen the linewidth"):
+        lineshape_density(replace(model, zpl_linewidth=1e-3), grid)
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # a fresh interpreter, importing the same vibropol as this suite
+    code = ("import sys, vibropol.cli; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(vibronic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 # -------------------------------------------------------------- wing model
