@@ -23,10 +23,10 @@ low-signal threshold (see ``orientation_vs_energy``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import lambertw
 
 from .core import (EmitterModel, EnergyGrid, NumericalError, OrientationCurve,
                    ValidationError, wrap_orientation, wrap_orientation_scalar)
@@ -245,10 +245,26 @@ def _line_reach(model: EmitterModel, budget: float) -> tuple:
     if model.acoustic_coupling > 0:
         # w_s x e^{-x} / c = budget with x = R / c on the falling side x >= 1
         c = model.acoustic_cutoff
-        a = budget * c / model.acoustic_coupling
-        x = 1.0 if a >= np.exp(-1.0) else -lambertw(-a, -1).real
-        reach_w = c * x
+        reach_w = c * _falling_root(budget * c / model.acoustic_coupling)
     return reach_s, reach_w
+
+
+def _falling_root(a: float) -> float:
+    """x >= 1 with x e^{-x} = a (1 where a >= 1/e, inf where a = 0).
+
+    Newton on the convex f(x) = x - ln x - L, L = ln(1/a), started above
+    the root at 1 + L + ln L, falls to it; the result is then raised by the
+    rounding error of f over f'(x), so the reach it sets is never short."""
+    if not 0 < a < math.exp(-1.0):
+        return 1.0 if a > 0 else math.inf
+    big = -math.log(a)
+    x = 1.0 + big + math.log(big)
+    for _ in range(100):
+        step = x * (x - math.log(x) - big) / (x - 1.0)
+        if not step > 1e-16 * x:
+            break
+        x -= step
+    return x * (1.0 + 2e-15 * x / max(x - 1.0, 1e-8))
 
 
 def _tail_bound(model: EmitterModel, reach_s: float, reach_w: float) -> float:

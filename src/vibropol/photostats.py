@@ -146,11 +146,9 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
 
     k = np.rint(taus / rep_period_ns).astype(int)
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
-    center_sum = int(np.sum(k == 0))
-    side_sums = np.array([np.sum(k == kk) for kk in range(-k_max, k_max + 1)
-                          if kk != 0], dtype=float)
-    if side_sums.size < 2:
-        raise ValidationError("need at least 2 complete side peaks")
+    peaks = np.bincount(k[np.abs(k) <= k_max] + k_max, minlength=2 * k_max + 1)
+    center_sum = int(peaks[k_max])
+    side_sums = np.delete(peaks, k_max).astype(float)   # 2 k_max >= 8 peaks
     mean_side = side_sums.mean()
     if mean_side <= 0:
         raise ValidationError("no side-peak coincidences; stream too short")

@@ -104,26 +104,35 @@ def malus_intensity(theta_deg, fit: MalusFit):
     return fit.i_max * np.cos(th) ** 2 + fit.i_min
 
 
-def fit_malus(angles_deg, intensities) -> MalusFit:
-    """Closed-form linear least squares on the basis {1, cos2t, sin2t}."""
+def _malus_design(angles_deg) -> np.ndarray:
+    """Basis {1, cos2t, sin2t} at the angles of a usable analyzer trace."""
     th = np.asarray(angles_deg, dtype=float)
-    inten = np.asarray(intensities, dtype=float)
-    if th.shape != inten.shape or th.ndim != 1:
-        raise ValidationError("angles and intensities must be equal 1-D arrays")
-    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(inten))):
-        raise ValidationError("angles and intensities must be finite")
+    if th.ndim != 1 or not np.all(np.isfinite(th)):
+        raise ValidationError("angles must be finite and 1-D")
     if th.size < 4:
         raise ValidationError("need at least 4 samples")
     if np.ptp(th) < 135.0 - 1e-9:
         raise ValidationError("samples must span at least 135 deg of rotation")
-    if np.any(inten < 0):
-        raise ValidationError("intensities must be non-negative")
     t2 = np.deg2rad(2.0 * th)
     design = np.column_stack([np.ones_like(t2), np.cos(t2), np.sin(t2)])
     # rank check: all angles equal mod 90 deg makes cos/sin columns constant
     _, sv, _ = np.linalg.svd(design, full_matrices=False)
     if sv[-1] < 1e-9 * sv[0]:
         raise ValidationError("angle set is rank-deficient (degenerate mod 90)")
+    return design
+
+
+def fit_malus(angles_deg, intensities) -> MalusFit:
+    """Closed-form linear least squares on the basis {1, cos2t, sin2t}."""
+    return _fit_malus(_malus_design(angles_deg), intensities)
+
+
+def _fit_malus(design, intensities) -> MalusFit:
+    inten = np.asarray(intensities, dtype=float)
+    if inten.shape != design.shape[:1]:
+        raise ValidationError("angles and intensities must be equal 1-D arrays")
+    if not np.all(np.isfinite(inten)) or np.any(inten < 0):
+        raise ValidationError("intensities must be finite and non-negative")
     coef, *_ = np.linalg.lstsq(design, inten, rcond=None)
     a, b, c = coef
     r = float(np.hypot(b, c))
@@ -175,14 +184,12 @@ def rqwp_intensity(s: StokesVector, qwp_angle_deg):
                   + 0.5 * s.s2 * np.sin(4 * t))
 
 
-def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
-    """Fourier inversion of an RQWP trace on uniform full rotations."""
+def _rqwp_basis(qwp_angles_deg) -> tuple:
+    """(sin 2t, cos 4t, sin 4t) at the angles of a usable RQWP trace."""
     th = np.asarray(qwp_angles_deg, dtype=float)
-    inten = np.asarray(intensity, dtype=float)
-    if th.shape != inten.shape or th.ndim != 1:
-        raise ValidationError("angles and intensities must be equal 1-D arrays")
-    n = th.size
-    if n < 8:
+    if th.ndim != 1 or not np.all(np.isfinite(th)):
+        raise ValidationError("angles must be finite and 1-D")
+    if th.size < 8:
         raise ValidationError("need at least 8 samples")
     steps = np.diff(th)
     if np.ptp(steps) > 1e-9 * abs(steps[0]) + 1e-12:
@@ -193,10 +200,24 @@ def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
         raise ValidationError(
             f"samples must cover whole rotations (got {total:.6g} deg)")
     t = np.deg2rad(th)
+    return np.sin(2 * t), np.cos(4 * t), np.sin(4 * t)
+
+
+def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
+    """Fourier inversion of an RQWP trace on uniform full rotations."""
+    return _stokes_rqwp(_rqwp_basis(qwp_angles_deg), intensity)
+
+
+def _stokes_rqwp(basis, intensity) -> StokesVector:
+    sin2, cos4, sin4 = basis
+    inten = np.asarray(intensity, dtype=float)
+    if inten.shape != sin2.shape:
+        raise ValidationError("angles and intensities must be equal 1-D arrays")
+    n = inten.size
     a = 2.0 / n * inten.sum()
-    b = 4.0 / n * (inten * np.sin(2 * t)).sum()
-    c = 4.0 / n * (inten * np.cos(4 * t)).sum()
-    d = 4.0 / n * (inten * np.sin(4 * t)).sum()
+    b = 4.0 / n * (inten * sin2).sum()
+    c = 4.0 / n * (inten * cos4).sum()
+    d = 4.0 / n * (inten * sin4).sum()
     return StokesVector(a - c, 2.0 * c, 2.0 * d, -b)
 
 
@@ -273,6 +294,8 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
     """
     if mode not in ("analyzer", "rqwp"):
         raise ValidationError(f"unknown map mode {mode!r}")
+    # the angle set is checked once, before any bin
+    basis = (_malus_design if mode == "analyzer" else _rqwp_basis)(pmap.angles)
     slices = [s for s in slice_map(pmap, bin_width_mev) if not s.partial]
     if len(slices) < 2:
         raise ValidationError("map yields fewer than 2 full bins")
@@ -291,7 +314,7 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
             continue
         try:
             if mode == "analyzer":
-                fit = fit_malus(pmap.angles, s.profile)
+                fit = _fit_malus(basis, s.profile)
                 if np.isnan(fit.theta0):
                     continue
                 psi[i] = fit.theta0
@@ -299,8 +322,7 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
                 chi[i] = 0.0
                 rms[i] = fit.rms_residual
             else:
-                sv = extract_stokes_rqwp(pmap.angles, s.profile)
-                ell = stokes_to_ellipse(sv)
+                ell = stokes_to_ellipse(_stokes_rqwp(basis, s.profile))
                 if np.isnan(ell.psi):
                     continue
                 psi[i] = ell.psi

@@ -15,8 +15,9 @@ they differ only in how the vibronic line weights are generated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, erf
 
 from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, NumericalError,
                    PhononMode, Spectrum, ValidationError, KB_MEV)
@@ -72,7 +73,7 @@ def spectral_function(modes, broadening_mev: float, grid: EnergyGrid) -> Spectru
         # captured weight of this mode inside the grid window
         lo = (grid.min_energy - m.energy_mev) / (sig * np.sqrt(2))
         hi = (grid.max_energy - m.energy_mev) / (sig * np.sqrt(2))
-        captured = 0.5 * (erf(hi) - erf(lo))
+        captured = 0.5 * (math.erf(hi) - math.erf(lo))
         if captured < 1.0 - 1e-3:
             raise ValidationError(
                 f"grid too narrow for mode {k} at {m.energy_mev} meV "
@@ -270,53 +271,45 @@ def lineshape(model: EmitterModel, grid: EnergyGrid) -> Spectrum:
 # brute-force Franck-Condon oracle
 # ------------------------------------------------------------------
 
-def _fc_factor(lo: int, hi: int, s: float) -> float:
-    """|<hi|D(sqrt(s))|lo>|^2 for a displaced oscillator, hi >= lo."""
-    if s == 0.0:
-        return 1.0 if hi == lo else 0.0
-    m = hi - lo
-    lag = eval_genlaguerre(lo, m, s)
-    logw = -s + m * np.log(s) + gammaln(lo + 1) - gammaln(hi + 1)
-    return float(np.exp(logw) * lag * lag)
-
-
 def mode_line_weights(mode: PhononMode, temperature: float,
                       max_quanta: int) -> tuple:
     """Net-quanta line weights for one thermally occupied mode.
 
-    Returns (m_values, weights) with m the net number of phonons created
-    (m > 0 is Stokes).  Initial-level occupation is Boltzmann; levels are
-    included until the omitted population is below 1e-16, so the oracle
-    stays accurate at the 1e-5 relative level even on points holding only
-    1e-8 of the peak density.  Net quanta are capped at max_quanta.
+    Returns (m_values, weights), m the net number of phonons created
+    (m > 0 is Stokes, |m| <= max_quanta).  Initial levels 0..i_max are
+    Boltzmann populated, i_max the fewest leaving out under 1e-16 of the
+    population (NumericalError beyond 170).  Levels lo and lo + m have the
+    Franck-Condon factor e^{-s} s^m (lo+m)!/(lo! (m!)^2) p^2, p the
+    normalized Laguerre polynomial L_lo^(m)(s)/C(lo+m, lo), from one
+    recurrence over all m: p_0 = 1, d_0 = 0, p_{k+1} = p_k + d_{k+1},
+    d_{k+1} = -s/(k+m+1) p_k + k/(k+m+1) d_k.
     """
     s = mode.partial_hr
     n = bose_occupation(mode.energy_mev, temperature)
-    if n > 0:
-        q = n / (n + 1.0)                    # Boltzmann factor e^{-bw}
-        # q rounds to 1 at huge occupation: every level population is 0
-        i_max = int(np.ceil(np.log(1e-16) / np.log(q))) if 0 < q < 1 else 0
-        i_max = min(i_max, 170)
-    else:
-        q = 0.0
-        i_max = 0
-    pops = (1.0 - q) * q ** np.arange(i_max + 1) if q > 0 else np.array([1.0])
+    q = n / (n + 1.0)                        # Boltzmann factor e^{-w/kT}
+    # q rounds to 1 at huge occupation: no number of levels suffices
+    need = np.log(1e-16) / np.log(q) if 0 < q < 1 else (np.inf if q else 0.0)
+    if not need <= 170:                      # more below w = 0.2166 kT
+        raise NumericalError(f"the {mode.energy_mev:g} meV mode needs {need:.4g} "
+                             f"thermal levels at {temperature:g} K (limit 170)")
+    i_max = int(np.ceil(need))
+    pops = (1.0 - q) * q ** np.arange(i_max + 1)
 
-    weights = {}
-    for i, p in enumerate(pops):
-        # walk final levels outward until the tail is negligible
-        acc = 0.0
-        for f in range(0, i + max_quanta + 1):
-            lo, hi = min(i, f), max(i, f)
-            w = p * _fc_factor(lo, hi, s)
-            m = f - i
-            if abs(m) <= max_quanta:
-                weights[m] = weights.get(m, 0.0) + w
-            acc += w
-            if f > i + 2 and acc > p * (1.0 - 1e-15):
-                break
-    ms = np.array(sorted(weights))
-    ws = np.array([weights[m] for m in ms])
+    m = np.arange(max_quanta + 1)
+    p = np.ones((i_max + 1, m.size))
+    d = np.zeros(m.size)
+    for k in range(i_max):
+        d = -s / (k + m + 1) * p[k] + k / (k + m + 1) * d
+        p[k + 1] = p[k] + d
+    logfac = np.array([math.lgamma(j + 1.0) for j in range(i_max + m.size)])
+    lo = np.arange(i_max + 1)[:, None]
+    fc = (np.exp(-s + logfac[lo + m] - logfac[lo] - 2.0 * logfac[m])
+          * s ** m * p * p)
+    # Stokes lines go from level lo to lo + m, anti-Stokes lines back
+    stokes = (pops[:, None] * fc).sum(axis=0)
+    anti = (np.append(pops, np.zeros(max_quanta))[lo + m] * fc).sum(axis=0)
+    ms = np.concatenate([-m[:0:-1], m])
+    ws = np.concatenate([anti[:0:-1], stokes])
     keep = ws > 0.0
     return ms[keep], ws[keep]
 

@@ -142,6 +142,16 @@ def test_stokes_command(tmp_path, capsys):
         assert abs(float(got[key]) - val) < 1e-12
 
 
+def test_stokes_rejects_a_non_finite_first_angle(tmp_path, capsys):
+    # the angle span was NaN, so the whole-rotation check crashed
+    trace = tmp_path / "rqwp.csv"
+    angles = np.arange(16) * 22.5
+    trace.write_text("qwp_angle_deg,intensity\nnan,1\n" + "".join(
+        f"{a},1\n" for a in angles[1:]))
+    assert _run(["stokes", "--in", str(trace)]) == 2
+    _assert_one_line_error(capsys, "error: validation: angles must be finite")
+
+
 def test_g2_command_signal_fraction(tmp_path):
     out = tmp_path / "g2.csv"
     assert _run(["g2", "--signal-fraction", "0.943", "--duration", "0.2",
@@ -202,6 +212,26 @@ def _assert_one_line_error(capsys, prefix):
     assert err.startswith(prefix)
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("angles,mode,reason", [
+    # an analyzer map's half turn is no whole RQWP rotation
+    ("0:170:10", "rqwp", "samples must cover whole rotations"),
+    ("0:80:10", "analyzer", "samples must span at least 135 deg"),
+])
+def test_unusable_map_angles_exit_before_the_bins(tmp_path, capsys, angles,
+                                                  mode, reason):
+    mp, rep = tmp_path / "map.csv", tmp_path / "report.csv"
+    assert _run(["simulate-map", "--preset", "weak_coupling", "--grid",
+                 "1.82:1.88:61", "--angles", angles, "--out", str(mp),
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    assert _run(["analyze-map", "--in", str(mp), "--mode", mode,
+                 "--out", str(rep), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: validation: {reason}")
+    assert len(err.strip().splitlines()) == 1
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,6 +354,8 @@ SMALL_MAP = ["simulate-map", "--grid", "1.82:1.88:61", "--angles", "0:150:30"]
     (SMALL_MAP, "mode1 = 150, 1e300, 0.2, 0.1, 0", 3),
     # the full-band grid is capped like every other grid
     (["spectrum"], "zpl_linewidth_mev = 1e6", 2),
+    # a 0.5 meV mode at 300 K needs about 1900 thermal levels (limit 170)
+    (SMALL_MAP, "mode1 = 0.5, 0.5, 0.2, 0.1, 0", 3),
 ])
 def test_extreme_config_value_exits_cleanly(tmp_path, capsys, argv, line,
                                             code):

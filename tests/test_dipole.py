@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 import vibropol.dipole as dipole
 from vibropol import (EmitterModel, NumericalError, PhononMode,
@@ -381,3 +382,17 @@ def test_failed_tail_check_redoes_with_every_line(monkeypatch):
     monkeypatch.setattr(dipole, "_channel_sums", spy)
     _assert_matches_dense(model, _window(model, "polmap"))
     assert calls[:2] == [(0.0, model.acoustic_cutoff), (np.inf, np.inf)]
+
+
+def test_wing_root_never_below_lambert_w():
+    a = np.concatenate([np.logspace(-300, np.log10(0.3), 1500),
+                        np.linspace(0.3, math.exp(-1.0), 500, endpoint=False),
+                        math.exp(-1.0) * (1.0 - np.logspace(-15, -1, 100))])
+    a = a[a < math.exp(-1.0)]
+    x = np.array([dipole._falling_root(v) for v in a])
+    ref = -lambertw(-a, -1).real
+    rel = (x - ref) / ref
+    assert rel.min() >= -1e-14
+    assert np.abs(rel[a <= 0.3]).max() <= 1e-12
+    assert dipole._falling_root(0.5) == 1.0
+    assert dipole._falling_root(0.0) == math.inf

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, eval_genlaguerre, gammaln
 
 import vibropol.vibronic as vibronic
 from vibropol import (EmitterModel, NumericalError, PhononMode,
@@ -307,9 +307,10 @@ def test_too_fine_grid_names_the_finest_spacing():
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
-    # a fresh interpreter, importing the same vibropol as this suite
+    # a fresh interpreter, importing the same vibropol as this suite: no
+    # scipy module at all is on the import path
     code = ("import sys, vibropol.cli; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(vibronic.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env,
@@ -373,3 +374,74 @@ def test_oracle_max_quanta_guard():
         lineshape_bruteforce(model, full_band_grid(model), max_quanta=0)
     with pytest.raises(ValidationError):
         lineshape_bruteforce(model, full_band_grid(model), max_quanta=41)
+
+
+def _scipy_line_weights(mode, temperature, max_quanta):
+    """The former per-level loop: one scipy Franck-Condon factor per level
+    pair, walking final levels until the level's population is used up."""
+    def fc(lo, hi, s):
+        if s == 0.0:
+            return 1.0 if hi == lo else 0.0
+        m = hi - lo
+        lag = eval_genlaguerre(lo, m, s)
+        logw = -s + m * np.log(s) + gammaln(lo + 1) - gammaln(hi + 1)
+        return float(np.exp(logw) * lag * lag)
+
+    n = bose_occupation(mode.energy_mev, temperature)
+    q = n / (n + 1.0)
+    i_max = int(np.ceil(np.log(1e-16) / np.log(q))) if q > 0 else 0
+    assert i_max <= 170
+    weights = {}
+    for i, p in enumerate((1.0 - q) * q ** np.arange(i_max + 1)):
+        acc = 0.0
+        for f in range(0, i + max_quanta + 1):
+            w = p * fc(min(i, f), max(i, f), mode.partial_hr)
+            if abs(f - i) <= max_quanta:
+                weights[f - i] = weights.get(f - i, 0.0) + w
+            acc += w
+            if f > i + 2 and acc > p * (1.0 - 1e-15):
+                break
+    return weights
+
+
+def _line_weight_gap(mode, temperature, max_quanta):
+    """(largest relative gap on weights above 1e-9 of the total, largest
+    absolute gap over the total) on the union of both m sets."""
+    ref = _scipy_line_weights(mode, temperature, max_quanta)
+    ms, ws = vibronic.mode_line_weights(mode, temperature, max_quanta)
+    assert np.all(np.abs(ms) <= max_quanta) and np.all(ws > 0)
+    got = dict(zip(ms.tolist(), ws.tolist()))
+    union = sorted(set(ref) | set(got))
+    a = np.array([ref.get(m, 0.0) for m in union])
+    b = np.array([got.get(m, 0.0) for m in union])
+    total = a.sum()
+    big = a > 1e-9 * total
+    return (float(np.max(np.abs(a - b)[big] / a[big])),
+            float(np.max(np.abs(a - b)) / total))
+
+
+@pytest.mark.parametrize("max_quanta", [12, 40])
+@pytest.mark.parametrize("temp", [0.0, 6.0, 300.0])
+def test_line_weights_match_scipy_per_level_loop(temp, max_quanta):
+    for preset in ("strong_coupling", "weak_coupling"):
+        for mode in load_preset(preset).modes:
+            rel, _ = _line_weight_gap(mode, temp, max_quanta)
+            assert rel <= 1e-13
+
+
+def test_line_weights_match_scipy_loop_over_extreme_modes():
+    worst = 0.0
+    for w in (1.0, 10.0, 40.0, 150.0):
+        for s in (0.01, 0.5, 3.0, 20.0):
+            for temp in (0.0, 30.0, 300.0, 1000.0):
+                if w < 0.2166 * KB_MEV * temp:
+                    continue                 # beyond the 170-level limit
+                worst = max(worst, _line_weight_gap(_mode(w, s), temp, 40)[1])
+    assert worst <= 1e-14
+
+
+def test_too_many_thermal_levels_raise():
+    # 0.5 meV at 300 K needs about 1900 levels: raise, don't drop them
+    with pytest.raises(NumericalError, match="0.5 meV mode needs 1905 "
+                                             "thermal levels at 300 K"):
+        vibronic.mode_line_weights(_mode(0.5, 0.5), 300.0, 40)
