@@ -38,10 +38,11 @@ def wrap_orientation_scalar(angle_deg: float) -> float:
 
 
 def _require_finite(obj, names) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    for name in names:         # stored as floats: an int could overflow
+        v = getattr(obj, name)
+        if v is not None and not np.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v}")
+        object.__setattr__(obj, name, v if v is None else float(v))
 
 
 @dataclass(frozen=True)

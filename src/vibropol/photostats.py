@@ -5,7 +5,8 @@ The source model: each excitation pulse emits at most one signal photon
 homogeneous Poisson process; an ideal 50:50 splitter routes every
 detection to one of two channels.  The pulsed g2(0) estimator divides
 the center-peak coincidence sum by the mean side-peak sum, the standard
-normalization for pulsed antibunching values.
+normalization for pulsed antibunching values.  Pulses are skip-sampled
+and coincidences counted in offset passes: memory follows the tags.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from .core import MAX_GRID_POINTS, ValidationError
 
-# largest stream simulated on request: pulses plus expected background
-# counts (about 13 s of pulses at 20 MHz)
+# most pulses plus expected background counts in one stream (13 s at 20 MHz)
 MAX_STREAM_EVENTS = 2 ** 28
-# largest set of in-window tag pairs g2_histogram expands (~40 B each)
-MAX_PAIRS = 2 ** 24
+# tag comparisons g2_histogram may make: offset passes times tags
+MAX_PASS_WORK = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,12 @@ class PhotonStream:
         ch = np.asarray(self.channel)
         if tags.shape != ch.shape or tags.ndim != 1:
             raise ValidationError("tags and channels must be equal 1-D arrays")
-        if tags.size > 1 and np.any(np.diff(tags) < 0):
+        if np.any(np.diff(tags) < 0):
             raise ValidationError("time tags must be sorted ascending")
         if not np.all((ch == 0) | (ch == 1)):
             raise ValidationError("channels must be 0 or 1")
-        tags = tags.copy(); tags.setflags(write=False)
-        ch = ch.astype(np.int8).copy(); ch.setflags(write=False)
+        tags, ch = tags.copy(), ch.astype(np.int8)
+        tags.setflags(write=False); ch.setflags(write=False)
         object.__setattr__(self, "time_tags", tags)
         object.__setattr__(self, "channel", ch)
 
@@ -61,7 +61,7 @@ def simulate_stream(signal_prob: float, background_rate: float,
 
     signal_prob is the per-pulse detection probability of the emitter
     photon; background_rate is in counts/s.  Deterministic under a fixed
-    seed.  Pulse generation is chunked so long runs stay in memory.
+    seed.  The gaps between emitting pulses are geometric variates.
     """
     if not 0.0 <= signal_prob <= 1.0:
         raise ValidationError("signal_prob must lie in [0, 1]")
@@ -71,35 +71,34 @@ def simulate_stream(signal_prob: float, background_rate: float,
         raise ValidationError("background_rate must be >= 0")
     period_ns = 1e3 / rep_rate_mhz
     if lifetime_ns >= period_ns / 5.0:
-        raise ValidationError(
-            f"lifetime {lifetime_ns} ns too long for the {period_ns:.3g} ns "
-            "pulse period (overlap guard: lifetime < period/5)")
+        raise ValidationError(f"lifetime {lifetime_ns} ns too long for the "
+                              f"{period_ns:.3g} ns pulse period (overlap "
+                              "guard: lifetime < period/5)")
     n_events = (rep_rate_mhz * 1e6 + background_rate) * duration_s
     if not n_events <= MAX_STREAM_EVENTS:
-        raise ValidationError(
-            f"stream would hold {n_events:.3g} pulses and background counts "
-            f"(limit {MAX_STREAM_EVENTS})")
+        raise ValidationError(f"stream would hold {n_events:.3g} pulses and "
+                              f"background counts (limit {MAX_STREAM_EVENTS})")
     rng = np.random.default_rng(seed)
     n_pulses = int(duration_s * rep_rate_mhz * 1e6)
-    sig_times = []
-    chunk = 1 << 22
-    for start in range(0, n_pulses, chunk):
-        m = min(chunk, n_pulses - start)
-        hit = np.nonzero(rng.random(m) < signal_prob)[0]
-        delays = rng.exponential(lifetime_ns, hit.size)
-        sig_times.append((start + hit) * period_ns + delays)
-    times_ns = np.concatenate(sig_times) if sig_times else np.empty(0)
-    n_bg = rng.poisson(background_rate * duration_s)
-    bg = rng.random(n_bg) * duration_s * 1e9
-    times_ns = np.sort(np.concatenate([times_ns, bg]))
-    ch = rng.integers(0, 2, times_ns.size)
-    return PhotonStream(times_ns * 1e3, ch)
+    # hit indices: -1 plus geometric gaps, clipped so the sum cannot wrap
+    hits = [np.array([-1])]
+    block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
+    while signal_prob > 0 and hits[-1][-1] < n_pulses - 1:
+        gaps = np.minimum(rng.geometric(signal_prob, block), n_pulses + 1)
+        hits.append(hits[-1][-1] + np.cumsum(gaps))
+    hit = np.concatenate(hits)[1:]
+    hit = hit[:np.searchsorted(hit, n_pulses)]
+    sig = hit * period_ns + rng.exponential(lifetime_ns, hit.size)
+    bg = np.sort(rng.random(rng.poisson(background_rate * duration_s)))
+    # the stable sort merges the two (nearly) sorted runs in O(n)
+    t_ns = np.sort(np.concatenate([sig, bg * duration_s * 1e9]), kind="stable")
+    ch = rng.integers(0, 2, t_ns.size, dtype=np.int8)
+    return PhotonStream(t_ns * 1e3, ch)
 
 
 def histogram_bins(bin_width_ns: float, window_ns: float,
                    rep_period_ns: float) -> int:
-    """Number of histogram bins over [-window, window], after checking the
-    arguments of ``g2_histogram``; cheap, so callers can check first."""
+    """Bin count over [-window, window]; checks g2_histogram's arguments."""
     if bin_width_ns <= 0 or window_ns <= 0 or rep_period_ns <= 0:
         raise ValidationError("bin width, window and period must be positive")
     if bin_width_ns > rep_period_ns:
@@ -123,30 +122,29 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     standard error of the side-peak sums.
     """
     n_bins = histogram_bins(bin_width_ns, window_ns, rep_period_ns)
-    t_ns = stream.time_tags * 1e-3
-    t0 = t_ns[stream.channel == 0]
-    t1 = t_ns[stream.channel == 1]
-    if t0.size == 0 or t1.size == 0:
+    t, ch = stream.time_tags * 1e-3, stream.channel
+    if ch.all() or not ch.any():
         raise ValidationError("both detector channels must be populated")
-    lo = np.searchsorted(t1, t0 - window_ns, side="left")
-    hi = np.searchsorted(t1, t0 + window_ns, side="right")
-    counts = hi - lo
-    if not counts.sum() <= MAX_PAIRS:
-        raise ValidationError(f"{counts.sum()} tag pairs in the window "
-                              f"(limit {MAX_PAIRS}); the stream is too dense")
-    # flat index expansion of every in-window pair
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(counts.sum()) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    taus = t1[starts + offsets] - np.repeat(t0, counts)
-
+    # pass j pairs every tag with its j-th successor; in a sorted stream
+    # the first pass with no pair inside the window ends the count
+    j_max = max(1, MAX_PASS_WORK // t.size)
+    if np.any(t[j_max:] - t[:-j_max] <= window_ns):
+        raise ValidationError(f"stream too dense: over {j_max} tags in one "
+                              f"{window_ns:g} ns window")
     edges = -window_ns + bin_width_ns * np.arange(n_bins + 1)
-    hist, _ = np.histogram(taus, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-
-    k = np.rint(taus / rep_period_ns).astype(int)
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
-    peaks = np.bincount(k[np.abs(k) <= k_max] + k_max, minlength=2 * k_max + 1)
+    hist, peaks = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 1, int)
+    for j in range(1, t.size):
+        d = t[j:] - t[:-j]
+        near = d <= window_ns
+        if not near.any():
+            break
+        i = np.flatnonzero(near & (ch[j:] != ch[:-j]))
+        tau = np.where(ch[i], -d[i], d[i])     # t1 - t0
+        hist += np.histogram(tau, bins=edges)[0]
+        k = np.rint(tau / rep_period_ns).astype(int)
+        peaks += np.bincount(k[abs(k) <= k_max] + k_max, minlength=peaks.size)
     center_sum = int(peaks[k_max])
     side_sums = np.delete(peaks, k_max).astype(float)   # 2 k_max >= 8 peaks
     mean_side = side_sums.mean()

@@ -364,12 +364,12 @@ def roundtrip_checks() -> list:
         for temp in (6.0, 300.0):
             model = load_preset(preset, temperature_k=temp)
             grid = default_map_grid(model)
+            fwd = binned_forward_psi(orientation_vs_energy(model, grid))
             for mode in ("analyzer", "rqwp"):
                 pmap = simulate_polarization_map(
                     model, grid, default_map_angles(mode), mode=mode,
                     counts_per_point=1e4, noise="none")
                 curve = analyze_map(pmap, mode=mode, bin_width_mev=4.0)
-                fwd = binned_forward_psi(orientation_vs_energy(model, grid))
                 sel = curve.valid & np.isfinite(fwd)
                 devs = np.abs(wrap_orientation(curve.psi[sel] - fwd[sel]))
                 max_dev = float(devs.max()) if devs.size else np.nan

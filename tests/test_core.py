@@ -89,6 +89,26 @@ def test_model_validation():
     assert _model(equilibrium_angle=110.0).equilibrium_angle == -70.0
 
 
+def test_integer_fields_are_stored_as_floats():
+    # an int HR factor once lost half the lines of a 0 K ladder to int64
+    # overflow: 21 of 41 lines, total weight 0.105, and no error
+    from vibropol.vibronic import mode_line_weights
+    m = PhononMode(energy_mev=60, partial_hr=20, partial_dq=0.1)
+    assert all(type(getattr(m, f)) is float
+               for f in ("energy_mev", "partial_hr", "partial_dq",
+                         "grad_magnitude", "grad_direction"))
+    ms, w = mode_line_weights(m, 0.0, 40)
+    ref_ms, ref_w = mode_line_weights(PhononMode(60.0, 20.0, 0.1), 0.0, 40)
+    assert ms.size == 41
+    assert np.array_equal(ms, ref_ms) and np.array_equal(w, ref_w)
+    assert abs(w.sum() - 1.0) < 1e-4
+    model = _model(zpl_linewidth=1, temperature=300, strain_bias=0,
+                   acoustic_grad_direction=90)
+    assert all(type(getattr(model, f)) is float
+               for f in ("zpl_linewidth", "temperature", "strain_bias",
+                         "acoustic_grad_direction", "acoustic_cutoff"))
+
+
 def test_acoustic_direction_default_perpendicular():
     m = _model(equilibrium_angle=10.0)
     assert abs(m.acoustic_direction - (-80.0)) < 1e-12

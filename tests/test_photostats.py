@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vibropol import (PhotonStream, ValidationError,
+from vibropol import (PhotonStream, ValidationError, photostats,
                       background_rate_for_fraction, g2_histogram,
                       g2_zero_expected, simulate_stream)
 
@@ -117,3 +117,104 @@ def test_histogram_determinism():
                      0.5, 500.0, 50.0)
     assert np.array_equal(a.coincidences, b.coincidences)
     assert a.g2_zero == b.g2_zero
+
+
+def _expanded_g2_histogram(stream, bin_width_ns, window_ns, rep_period_ns):
+    """The pair-expansion estimator g2_histogram replaced: every in-window
+    cross-channel pair from two searchsorted calls and a flat expansion."""
+    t_ns = stream.time_tags * 1e-3
+    t0 = t_ns[stream.channel == 0]
+    t1 = t_ns[stream.channel == 1]
+    lo = np.searchsorted(t1, t0 - window_ns, side="left")
+    hi = np.searchsorted(t1, t0 + window_ns, side="right")
+    counts = hi - lo
+    starts = np.repeat(lo, counts)
+    offsets = np.arange(counts.sum()) - np.repeat(
+        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
+    taus = t1[starts + offsets] - np.repeat(t0, counts)
+    n_bins = int(np.ceil(2.0 * window_ns / bin_width_ns))
+    edges = -window_ns + bin_width_ns * np.arange(n_bins + 1)
+    hist, _ = np.histogram(taus, bins=edges)
+    k = np.rint(taus / rep_period_ns).astype(int)
+    k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
+    peaks = np.bincount(k[np.abs(k) <= k_max] + k_max, minlength=2 * k_max + 1)
+    center_sum = int(peaks[k_max])
+    side_sums = np.delete(peaks, k_max).astype(float)
+    mean_side = side_sums.mean()
+    g2 = center_sum / mean_side
+    se_side = side_sums.std(ddof=1) / np.sqrt(side_sums.size)
+    err = np.sqrt(max(center_sum, 1.0) + (g2 * se_side) ** 2) / mean_side
+    return hist, float(g2), float(err)
+
+
+def _single_tag_channel():
+    stream = simulate_stream(0.1, 2e5, 20.0, 2.0, 0.02, seed=23)
+    ch = np.zeros(stream.channel.size, dtype=int)
+    ch[ch.size // 2] = 1
+    return PhotonStream(stream.time_tags, ch)
+
+
+def _rho_stream(rho, seed, rep_rate=20.0, duration=0.05):
+    bg = background_rate_for_fraction(rho, 0.1, rep_rate)
+    return simulate_stream(0.1, bg, rep_rate, 2.0, duration, seed=seed)
+
+
+@pytest.mark.parametrize("make, bin_width, window, period", [
+    (lambda: _rho_stream(0.943, 31), 0.5, 500.0, 50.0),
+    (lambda: _rho_stream(0.8, 32), 0.5, 500.0, 50.0),
+    (lambda: _rho_stream(0.5, 33), 0.5, 500.0, 50.0),
+    (lambda: _rho_stream(0.9, 34, rep_rate=37.0), 0.7, 150.0, 1e3 / 37.0),
+    (lambda: simulate_stream(0.0, 2e6, 20.0, 2.0, 0.02, seed=35),
+     0.5, 500.0, 50.0),
+    (_single_tag_channel, 0.5, 500.0, 50.0),
+], ids=["rho0.943", "rho0.8", "rho0.5", "window150", "background",
+        "single_tag_channel"])
+def test_offset_passes_match_pair_expansion(make, bin_width, window, period):
+    stream = make()
+    hist = g2_histogram(stream, bin_width, window, period)
+    ref_hist, ref_g2, ref_err = _expanded_g2_histogram(stream, bin_width,
+                                                       window, period)
+    assert hist.coincidences.sum() > 0
+    assert np.array_equal(hist.coincidences, ref_hist)
+    assert hist.g2_zero == ref_g2 and hist.g2_zero_err == ref_err
+
+
+def test_emitting_pulses_are_bernoulli():
+    p, n_pulses = 0.1, 1_000_000
+    stream = simulate_stream(p, 0.0, 20.0, 2.0, n_pulses / 20e6, seed=41)
+    pulse = np.floor(stream.time_tags / 50e3).astype(int)
+    assert np.all(np.diff(pulse) > 0) and pulse[-1] < n_pulses
+    sd = np.sqrt(n_pulses * p * (1 - p))
+    assert abs(pulse.size - n_pulses * p) < 4.0 * sd
+    # gaps between emitting pulses are geometric(p) on 1, 2, ...; the last
+    # class collects the tail
+    gaps = np.diff(pulse)
+    k = np.arange(1, 41)
+    observed = np.append(np.bincount(gaps, minlength=41)[1:41],
+                         np.sum(gaps > 40))
+    probs = np.append(stats.geom.pmf(k, p), stats.geom.sf(40, p))
+    expected = probs * gaps.size
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    assert stats.chi2.sf(chi2, df=observed.size - 1) > 0.01
+
+
+def test_dense_stream_is_refused_before_counting():
+    # two million tags at one instant: every window holds all of them
+    tags = np.zeros(2_000_000)
+    ch = np.arange(tags.size) % 2
+    with pytest.raises(ValidationError, match="too dense"):
+        g2_histogram(PhotonStream(tags, ch), 0.5, 500.0, 50.0)
+
+
+def test_density_guard_allows_exactly_the_budgeted_passes(monkeypatch):
+    stream = _rho_stream(0.8, 42, duration=0.01)
+    t = stream.time_tags * 1e-3
+    # the count runs to the first offset j with no pair inside the window
+    runs = min(j for j in range(1, 64) if not np.any(t[j:] - t[:-j] <= 500.0))
+    monkeypatch.setattr(photostats, "MAX_PASS_WORK", runs * t.size)
+    ref = g2_histogram(stream, 0.5, 500.0, 50.0)
+    assert np.array_equal(ref.coincidences,
+                          _expanded_g2_histogram(stream, 0.5, 500.0, 50.0)[0])
+    monkeypatch.setattr(photostats, "MAX_PASS_WORK", runs * t.size - 1)
+    with pytest.raises(ValidationError, match="too dense"):
+        g2_histogram(stream, 0.5, 500.0, 50.0)
