@@ -124,29 +124,37 @@ def _malus_design(angles_deg) -> np.ndarray:
 
 def fit_malus(angles_deg, intensities) -> MalusFit:
     """Closed-form linear least squares on the basis {1, cos2t, sin2t}."""
-    return _fit_malus(_malus_design(angles_deg), intensities)
+    design = _malus_design(angles_deg)
+    fit = _malus_fits(design, _trace(intensities, design.shape[0])[:, None])
+    return MalusFit(*(float(v[0]) for v in fit[:5]), bool(fit[5][0]))
 
 
-def _fit_malus(design, intensities) -> MalusFit:
+def _trace(intensities, n: int) -> np.ndarray:
     inten = np.asarray(intensities, dtype=float)
-    if inten.shape != design.shape[:1]:
+    if inten.shape != (n,):
         raise ValidationError("angles and intensities must be equal 1-D arrays")
+    return inten
+
+
+def _malus_fits(design, inten) -> tuple:
+    """``MalusFit`` fields, as arrays, of the columns of inten (angle x
+    trace) in one solve; theta0 is NaN where the modulation vanishes."""
     if not np.all(np.isfinite(inten)) or np.any(inten < 0):
         raise ValidationError("intensities must be finite and non-negative")
     coef, *_ = np.linalg.lstsq(design, inten, rcond=None)
     a, b, c = coef
-    r = float(np.hypot(b, c))
-    i_max = 2.0 * r
-    i_min = float(a - r)
-    resid = inten - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    unphysical = i_min < -1e-9 * max(a, 1e-300)
-    if r < 1e-12 * max(abs(a), 1.0) or a <= 0:
-        return MalusFit(np.nan, 0.0, float(a), 0.0, rms, unphysical)
-    theta0 = wrap_orientation_scalar(0.5 * np.rad2deg(np.arctan2(c, b)))
+    r = np.hypot(b, c)
+    rms = np.sqrt(np.mean((inten - design @ coef) ** 2, axis=0))
+    unphysical = a - r < -1e-9 * np.maximum(a, 1e-300)
+    flat = (r < 1e-12 * np.maximum(np.abs(a), 1.0)) | (a <= 0)
+    i_max = np.where(flat, 0.0, 2.0 * r)
+    i_min = np.where(flat, a, a - r)
     peak, floor = i_max + i_min, i_min
-    dolp = (peak - floor) / (peak + floor)
-    return MalusFit(theta0, i_max, i_min, float(dolp), rms, unphysical)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dolp = np.where(flat, 0.0, (peak - floor) / (peak + floor))
+    theta0 = np.where(flat, np.nan,
+                      wrap_orientation(0.5 * np.rad2deg(np.arctan2(c, b))))
+    return theta0, i_max, i_min, dolp, rms, unphysical
 
 
 def ellipse_to_stokes(e: PolarizationEllipse, s0: float) -> StokesVector:
@@ -184,8 +192,8 @@ def rqwp_intensity(s: StokesVector, qwp_angle_deg):
                   + 0.5 * s.s2 * np.sin(4 * t))
 
 
-def _rqwp_basis(qwp_angles_deg) -> tuple:
-    """(sin 2t, cos 4t, sin 4t) at the angles of a usable RQWP trace."""
+def _rqwp_basis(qwp_angles_deg) -> np.ndarray:
+    """Rows (2, 4 sin 2t, 4 cos 4t, 4 sin 4t) / n at n RQWP angles t."""
     th = np.asarray(qwp_angles_deg, dtype=float)
     if th.ndim != 1 or not np.all(np.isfinite(th)):
         raise ValidationError("angles must be finite and 1-D")
@@ -200,25 +208,21 @@ def _rqwp_basis(qwp_angles_deg) -> tuple:
         raise ValidationError(
             f"samples must cover whole rotations (got {total:.6g} deg)")
     t = np.deg2rad(th)
-    return np.sin(2 * t), np.cos(4 * t), np.sin(4 * t)
+    return np.array([np.full_like(t, 2.0), 4.0 * np.sin(2 * t),
+                     4.0 * np.cos(4 * t), 4.0 * np.sin(4 * t)]) / t.size
 
 
 def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
     """Fourier inversion of an RQWP trace on uniform full rotations."""
-    return _stokes_rqwp(_rqwp_basis(qwp_angles_deg), intensity)
+    basis = _rqwp_basis(qwp_angles_deg)
+    inten = _trace(intensity, basis.shape[1])[None, :]
+    return StokesVector(*_rqwp_stokes(basis, inten)[:, 0])
 
 
-def _stokes_rqwp(basis, intensity) -> StokesVector:
-    sin2, cos4, sin4 = basis
-    inten = np.asarray(intensity, dtype=float)
-    if inten.shape != sin2.shape:
-        raise ValidationError("angles and intensities must be equal 1-D arrays")
-    n = inten.size
-    a = 2.0 / n * inten.sum()
-    b = 4.0 / n * (inten * sin2).sum()
-    c = 4.0 / n * (inten * cos4).sum()
-    d = 4.0 / n * (inten * sin4).sum()
-    return StokesVector(a - c, 2.0 * c, 2.0 * d, -b)
+def _rqwp_stokes(basis, inten) -> np.ndarray:
+    """(s0, s1, s2, s3) x trace of the traces in the rows of inten."""
+    a, b, c, d = (inten @ basis.T).T
+    return np.array([a - c, 2.0 * c, 2.0 * d, -b])
 
 
 def default_map_grid(model: EmitterModel) -> EnergyGrid:
@@ -287,10 +291,10 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
                 bin_width_mev: float = 4.0) -> OrientationCurve:
     """Per-bin polarization analysis of an energy-resolved map.
 
-    Slices the map into energy bins, fits each angular profile (Malus
-    for analyzer maps, RQWP Fourier inversion otherwise) and assembles
-    an OrientationCurve over the full bins; per-slice failures mark the
-    bin invalid instead of aborting the analysis.
+    Slices the map into energy bins and fits all their angular profiles
+    at once (Malus for analyzer maps, RQWP Fourier inversion otherwise);
+    a bin with MIN_BIN_COUNTS counts or fewer, or no defined angle (no
+    modulation, or no RQWP intensity), is invalid.
     """
     if mode not in ("analyzer", "rqwp"):
         raise ValidationError(f"unknown map mode {mode!r}")
@@ -301,38 +305,25 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
         raise ValidationError("map yields fewer than 2 full bins")
     centers = np.array([s.center_energy for s in slices])
     grid = EnergyGrid(centers[0], centers[-1], centers.size)
-    n = centers.size
-    psi = np.full(n, np.nan)
-    dolp = np.zeros(n)
-    chi = np.full(n, np.nan)
-    rms = np.full(n, np.nan)
-    weight = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
-    for i, s in enumerate(slices):
-        weight[i] = s.profile.sum()
-        if weight[i] <= MIN_BIN_COUNTS:
-            continue
-        try:
-            if mode == "analyzer":
-                fit = _fit_malus(basis, s.profile)
-                if np.isnan(fit.theta0):
-                    continue
-                psi[i] = fit.theta0
-                dolp[i] = fit.dolp
-                chi[i] = 0.0
-                rms[i] = fit.rms_residual
-            else:
-                ell = stokes_to_ellipse(_stokes_rqwp(basis, s.profile))
-                if np.isnan(ell.psi):
-                    continue
-                psi[i] = ell.psi
-                dolp[i] = ell.dop
-                chi[i] = ell.chi
-            valid[i] = True
-        except (ValidationError, NumericalError):
-            continue
-    return OrientationCurve(grid, psi, dolp, weight, valid, chi=chi,
-                            rms_residual=rms)
+    profiles = np.array([s.profile for s in slices])     # bin x angle
+    weight = profiles.sum(axis=1)
+    if mode == "analyzer":
+        psi, _, _, dolp, rms, _ = _malus_fits(basis, profiles.T)
+        chi = np.zeros_like(psi)
+    else:
+        s0, s1, s2, s3 = _rqwp_stokes(basis, profiles)
+        mag = np.sqrt(s1 ** 2 + s2 ** 2 + s3 ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi = np.where((s0 > 0) & (mag > 0), wrap_orientation(
+                0.5 * np.rad2deg(np.arctan2(s2, s1))), np.nan)
+            dolp = np.minimum(mag / s0, 1.0)
+            chi = 0.5 * np.rad2deg(np.arcsin(np.clip(s3 / mag, -1.0, 1.0)))
+        rms = np.full(psi.size, np.nan)
+    valid = (weight > MIN_BIN_COUNTS) & ~np.isnan(psi)
+    return OrientationCurve(grid, np.where(valid, psi, np.nan),
+                            np.where(valid, dolp, 0.0), weight, valid,
+                            chi=np.where(valid, chi, np.nan),
+                            rms_residual=np.where(valid, rms, np.nan))
 
 
 def binned_forward_psi(curve: OrientationCurve,

@@ -12,8 +12,10 @@ from vibropol import (EmitterModel, NumericalError, PhononMode,
                       mode_rotations, opsb_offset, orientation_vs_energy,
                       solve_gradient_for_rotation, thermal_amplification)
 from vibropol.core import wrap_orientation_scalar
-from vibropol.vibronic import (_acoustic_kernel_weights, acoustic_wing_density,
-                               full_band_grid, lineshape_density)
+import vibropol.vibronic as vibronic
+from vibropol.vibronic import (_acoustic_kernel_weights, _wing_factor,
+                               acoustic_wing_density, full_band_grid,
+                               lineshape_density)
 
 
 def _model(modes, psi0=0.0, mu0=1.0, **kw):
@@ -152,13 +154,19 @@ def test_strain_bias_partial_blend_moves_toward_mirror():
 
 
 def test_strain_bias_monotonic_stokes_flank():
-    model = load_preset("strong_coupling")
-    lo = model.zpl_energy - 0.012
-    hi = model.zpl_energy - 0.002
-    curve = orientation_vs_energy(model, make_grid(lo, hi, 101))
-    psi = curve.psi[curve.valid]
-    d = np.diff(psi)
-    assert np.all(d <= 1e-9) or np.all(d >= -1e-9)
+    # held below 300 K: there the difference lines at 4, 5, 9 and 14 meV
+    # (one anti-Stokes quantum, whose axis turns against the biased sense)
+    # carry ~0.3% of the ZPL weight and, with the wing broadened by the
+    # ZPL profile, reverse psi by 0.011 deg at 8.5-8.8 meV, as the dense
+    # reference does too; at 200 K and below they carry under 2e-4
+    for temp in (77.0, 150.0, 200.0):
+        model = load_preset("strong_coupling", temperature_k=temp)
+        lo = model.zpl_energy - 0.012
+        hi = model.zpl_energy - 0.002
+        curve = orientation_vs_energy(model, make_grid(lo, hi, 101))
+        psi = curve.psi[curve.valid]
+        d = np.diff(psi)
+        assert np.all(d <= 1e-9) or np.all(d >= -1e-9)
 
 
 # -------------------------------------------------- orientation vs energy
@@ -262,47 +270,164 @@ def test_opsb_offset_requires_modes():
         opsb_offset(m)
 
 
-# ------------------------------------- banded sum vs dense reference
+# ------------------------------- lattice sums vs dense reference
 
-def _dense_stokes(model, grid):
-    """Reference (s0, s1, s2): every line at every grid point."""
+def _lines(model):
+    """Lines of the biased model: shifts, weights, dipoles, Stokes sticks."""
+    shifts, weights, vx, vy = dipole._enumerate_lines(model)
+    r2 = vx * vx + vy * vy
+    jit = dipole._jitter_dolp(model)
+    coef = np.stack([weights, weights * (vx * vx - vy * vy) / r2 * jit,
+                     weights * 2 * vx * vy / r2 * jit])
+    return shifts, weights, vx, vy, coef
+
+
+def _reaches(model, grid):
+    """(kept-line mask, R_p, R_w) as ``orientation_vs_energy`` sets them."""
+    shifts, weights = dipole._enumerate_lines(model)[:2]
+    _, _, knorm = _acoustic_kernel_weights(model)
+    peak = lineshape_density(model, grid).max()
+    budget = (dipole.TAIL_FRACTION * dipole.LOW_SIGNAL_FRACTION * peak
+              * knorm / weights.sum())
+    reach_p, reach_w = dipole._line_reach(model, budget)
+    d_lo = (model.zpl_energy - grid.max_energy) * 1e3
+    d_hi = (model.zpl_energy - grid.min_energy) * 1e3
+    r = reach_p + reach_w
+    return (shifts >= d_lo - r) & (shifts <= d_hi + r), reach_p, reach_w
+
+
+def _direct_sticks(shifts, coef, tau):
+    """sum_i coef_i e^{-i s_i tau} summed term by term at the uniform tau,
+    with e^{-i s (64 b + j) dtau} = e^{-i s 64 b dtau} e^{-i s j dtau}."""
+    dt = tau[1] - tau[0]
+    nb = -(-tau.size // 64)
+    head = np.exp(-1j * np.outer(np.arange(nb) * 64 * dt, shifts))
+    tail = np.exp(-1j * np.outer(shifts, np.arange(64) * dt))
+    return np.stack([((head * c) @ tail).ravel()[:tau.size] for c in coef])
+
+
+def _residual_at(model, y, shifts, weights, vx, vy, reach_w):
+    """(s1, s2) of the acoustic rotation term at shifts y (meV, ascending),
+    line by line: rho(d) J [c_k(b + g q(d)) - c_k(b)] w / knorm."""
+    amp = thermal_amplification(model)
+    a_ac = np.deg2rad(model.acoustic_direction)
+    gx = model.acoustic_gradient * np.cos(a_ac)
+    gy = model.acoustic_gradient * np.sin(a_ac)
+    jit = dipole._jitter_dolp(model)
+    _, _, knorm = _acoustic_kernel_weights(model)
+    order = np.argsort(shifts)
+    s, w, bx, by = shifts[order], weights[order], vx[order], vy[order]
+    out = np.zeros((2, y.size))
+
+    def axis(x, z):
+        r2 = x * x + z * z
+        return (x * x - z * z) / r2, 2 * x * z / r2
+
+    for j0 in range(0, y.size, 256):
+        blk = y[j0:j0 + 256]
+        a = np.searchsorted(s, blk[0] - reach_w)
+        b = np.searchsorted(s, blk[-1] + reach_w, side="right")
+        delta = blk[None, :] - s[a:b, None]
+        rho = np.where(np.abs(delta) <= reach_w,
+                       acoustic_wing_density(model, delta), 0.0)
+        rho *= w[a:b, None] * jit / knorm
+        q = (np.sqrt(np.abs(delta) / model.acoustic_cutoff) * amp
+             * np.sign(model.strain_bias))
+        q = np.where(delta >= 0, -q,
+                     (1.0 + dipole.ANTI_STOKES_AMPLIFICATION) * q)
+        c0 = axis(bx[a:b, None], by[a:b, None])
+        c1 = axis(bx[a:b, None] + gx * q, by[a:b, None] + gy * q)
+        for k in range(2):
+            out[k, j0:j0 + 256] = (rho * (c1[k] - c0[k])).sum(axis=0)
+    return out
+
+
+def _profile(model, delta, period):
+    """Unit-area ZPL profile at detuning delta; the Lorentzian periodized
+    on the lattice period, as the renderer's lattice holds it."""
+    fwhm = model.zpl_linewidth
+    if model.zpl_profile == "gaussian":
+        sig = fwhm / (2 * np.sqrt(2 * np.log(2)))
+        return np.exp(-0.5 * (delta / sig) ** 2) / (sig * np.sqrt(2 * np.pi))
+    a = np.pi * fwhm / period
+    return np.sinh(a) / (period * (np.cosh(a) - np.cos(2 * np.pi * delta / period)))
+
+
+def _dense_stokes(model, grid, near=10.0):
+    """Reference (s0, s1, s2) and the residual's stated bound on the grid.
+
+    Sticks: the direct sum sum_i c_i e^{-i s_i tau} times the wing factor
+    at every lattice tau, rendered on a lattice twice the code's reach.
+    Residual: quadrature on a 16x finer lattice for the lines within
+    ``near`` meV of the window, and on the code's lattice for the others
+    (which the code samples at every 8th point beyond R_w + 20 FWHM),
+    convolved with the profile by direct summation.
+    """
     eff = apply_strain_bias(model)
-    shifts, weights, vx, vy = dipole._enumerate_lines(eff)
+    kept, reach_p, reach_w = _reaches(eff, grid)
+    shifts, weights, vx, vy, coef = _lines(eff)
+    shifts, weights, vx, vy, coef = (shifts[kept], weights[kept], vx[kept],
+                                     vy[kept], coef[:, kept])
+    lattice = {}
+
+    def builder(tau, lo, d):
+        lattice.update(lo=lo, d=d, n=2 * (tau.size - 1))
+        return _direct_sticks(shifts, coef, tau) * _wing_factor(eff, tau)
+
+    s = vibronic._render_shift_spectrum(eff, grid, builder,
+                                        2 * (reach_p + reach_w))
+    x = (eff.zpl_energy - grid.points) * 1e3
     amp = thermal_amplification(eff)
-    sense = np.sign(eff.strain_bias)
-    a_ac = np.deg2rad(eff.acoustic_direction)
-    gac = eff.acoustic_gradient
-    ux, uy = np.cos(a_ac), np.sin(a_ac)
-    sigma_jit = gac * eff.orientation_jitter * amp / eff.equilibrium_dipole
-    jitter_dolp = float(np.exp(-2.0 * sigma_jit ** 2))
+    if eff.acoustic_coupling == 0 or amp == 0:
+        return s, np.zeros(grid.n_points)    # the residual vanishes
+    lo, d, n = lattice["lo"], lattice["d"], lattice["n"]
+    period = n * d
+    d_lo, d_hi = x.min(), x.max()
+    gap = np.maximum(d_lo - shifts, shifts - d_hi)
+    fine = gap <= near
+
+    def points(ext, sub):
+        # lattice points within ext of the window, each step cut in sub
+        j0 = max(0.0, np.ceil((d_lo - ext - lo) / d))
+        j1 = min(n - 1.0, np.floor((d_hi + ext - lo) / d))
+        return lo + d * (j0 + np.arange(int(sub * (j1 - j0)) + 1) / sub)
+
+    # the code's lattice points within R_p of the window, and 16x finer
+    # ones over the supports of the lines near the window
+    for sel, sub in ((~fine, 1), (fine, 16)):
+        if np.any(sel):
+            y = points(min(reach_p, near + reach_w) if sub > 1 else reach_p,
+                       sub)
+            r = _residual_at(eff, y, shifts[sel], weights[sel], vx[sel],
+                             vy[sel], reach_w)
+            s[1:] += d / sub * _smear(eff, x, y, r, period, reach_p)
+    # the docstring's bound, 2 x 0.0361 sum_i h_i^{5/2} (|a+| + |a-|)
+    # p(x - s_i), at the code's step h_i (8 d for the lines it samples
+    # sparsely) and at the reference's
+    far = gap > reach_w + 20.0 * eff.zpl_linewidth
+    steps = (np.where(far, 8 * d, d) ** 2.5
+             + np.where(fine, d / 16, d) ** 2.5)
     _, _, knorm = _acoustic_kernel_weights(eff)
-    shift_e = (eff.zpl_energy - grid.points) * 1e3
-    s = np.zeros((3, grid.n_points))
+    alpha = (2 * eff.acoustic_gradient * amp * eff.acoustic_coupling
+             * dipole._jitter_dolp(eff) * weights * steps
+             * (2 + dipole.ANTI_STOKES_AMPLIFICATION)
+             / (knorm * eff.acoustic_cutoff ** 2.5 * np.hypot(vx, vy)))
+    order = np.argsort(shifts)
+    return s, 2 * 0.0361 * _smear(eff, x, shifts[order],
+                                  alpha[order][None, :], period, reach_p)[0]
 
-    def add(w_i, x, y):
-        r2 = x * x + y * y
-        c2 = np.where(r2 > 0, (x * x - y * y) / np.where(r2 > 0, r2, 1), 0.0)
-        sn2 = np.where(r2 > 0, 2 * x * y / np.where(r2 > 0, r2, 1), 0.0)
-        s[0] += w_i.sum(axis=0)
-        s[1] += (w_i * c2).sum(axis=0) * jitter_dolp
-        s[2] += (w_i * sn2).sum(axis=0) * jitter_dolp
 
-    chunk = max(1, int(4e6) // grid.n_points)
-    for start in range(0, shifts.size, chunk):
-        sl = slice(start, start + chunk)
-        w = weights[sl][:, None]
-        bx = vx[sl][:, None]
-        by = vy[sl][:, None]
-        delta = shift_e[None, :] - shifts[sl][:, None]
-        add(w * dipole._profile_density(delta, eff.zpl_linewidth,
-                                        eff.zpl_profile) / knorm, bx, by)
-        if eff.acoustic_coupling > 0:
-            q_ac = np.sqrt(np.abs(delta) / eff.acoustic_cutoff) * amp * sense
-            q_ac = np.where(delta >= 0, -q_ac,
-                            (1.0 + dipole.ANTI_STOKES_AMPLIFICATION) * q_ac)
-            add(w * acoustic_wing_density(eff, delta) / knorm,
-                bx + gac * q_ac * ux, by + gac * q_ac * uy)
-    return s
+def _smear(model, x, y, r, period, reach):
+    """sum_j p(x - y_j) r[:, j] at each x, y ascending; the profile
+    vanishes beyond ``reach`` to the budget."""
+    out = np.zeros((r.shape[0], x.size))
+    for i0 in range(0, x.size, 16):
+        xs = x[i0:i0 + 16]
+        a = np.searchsorted(y, xs.min() - reach)
+        b = np.searchsorted(y, xs.max() + reach, side="right")
+        out[:, i0:i0 + 16] = r[:, a:b] @ _profile(
+            model, xs[:, None] - y[None, a:b], period).T
+    return out
 
 
 def _opsb_window(model):
@@ -323,11 +448,13 @@ def _window(model, name):
     return full_band_grid(model, spacing_mev=10.0)
 
 
-def _assert_matches_dense(model, grid):
-    got = dipole._stokes_sums(apply_strain_bias(model), grid)
-    ref = _dense_stokes(model, grid)
+def _assert_matches_dense(model, grid, near=10.0):
+    weight = lineshape_density(model, grid)
+    got = dipole._stokes_sums(apply_strain_bias(model), grid, weight)
+    ref, bound = _dense_stokes(model, grid, near)
     peak = ref[0].max()
-    assert np.abs(got - ref).max() <= 1e-12 * peak
+    assert np.abs(got[0] - ref[0]).max() <= 1e-12 * peak
+    assert np.all(np.abs(got[1:] - ref[1:]) <= 1e-12 * peak + bound)
     curve = orientation_vs_energy(model, grid)
     assert np.array_equal(curve.valid,
                           ref[0] > dipole.LOW_SIGNAL_FRACTION * peak)
@@ -358,30 +485,85 @@ def test_curve_weight_is_the_lineshape(name, profile, temp):
                               lineshape_density(model, grid))
 
 
+@pytest.mark.parametrize("name,profile,temp", [
+    (name, profile, temp) for name in ("weak_coupling", "strong_coupling")
+    for profile in ("gaussian", "lorentzian") for temp in (0.0, 6.0, 300.0)])
+def test_channel_s0_is_the_lineshape(name, profile, temp):
+    # s0 is the lineshape up to the line weight left out, times the
+    # profile's peak: the bound the runtime check holds it to
+    model = replace(load_preset(name, temperature_k=temp), zpl_profile=profile)
+    eff = apply_strain_bias(model)
+    for window in ("polmap", "opsb", "full"):
+        grid = _window(model, window)
+        weight = lineshape_density(model, grid)
+        s0 = dipole._stokes_sums(eff, grid, weight)[0]
+        kept = _reaches(eff, grid)[0]
+        dropped = (abs(1.0 - dipole._enumerate_lines(eff)[1][kept].sum())
+                   + 1e-12)
+        tol = (dipole.TAIL_FRACTION * dipole.LOW_SIGNAL_FRACTION
+               * weight.max())
+        assert (np.abs(s0 - weight).max()
+                <= dropped / model.zpl_linewidth + tol)
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "lorentzian"])
+def test_channel_s0_of_a_lone_zpl(profile):
+    # no line weight is left out, so only the spreading and rounding
+    # separate s0 from the lineshape: the check's 1e-12 allowance
+    model = EmitterModel(zpl_energy=1.848, equilibrium_angle=20.0,
+                         equilibrium_dipole=1.0, modes=(), zpl_linewidth=1.0,
+                         zpl_profile=profile, temperature=300.0,
+                         acoustic_coupling=2.0)
+    curve = orientation_vs_energy(model, _window(model, "polmap"))
+    assert np.all(np.abs(curve.psi[curve.valid] - 20.0) < 1e-9)
+
+
+def test_rounding_noise_is_neither_valid_nor_over_polarized():
+    # 100 meV below a lone ZPL its wing is e^{-50}: the renders there are
+    # rounding noise (under the 1e-12/FWHM floor); where a faint wing
+    # rises out of it, the noise could push |s12| / s0 past 1
+    lone = EmitterModel(zpl_energy=1.848, equilibrium_angle=20.0,
+                        equilibrium_dipole=1.0, modes=(), zpl_linewidth=1.0,
+                        zpl_profile="gaussian", acoustic_coupling=2.0,
+                        acoustic_cutoff=2.0)
+    assert not np.any(orientation_vs_energy(
+        lone, make_grid(1.745, 1.755, 101)).valid)
+    wing = replace(lone, zpl_linewidth=2.77, acoustic_coupling=0.18,
+                   acoustic_cutoff=3.39)
+    curve = orientation_vs_energy(wing, make_grid(1.628, 1.757, 334))
+    assert np.any(curve.valid) and np.all(curve.dolp <= 1.0)
+
+
 @pytest.mark.parametrize("window,profile,temp,bias,acoustic", BANDED_CASES)
 def test_banded_sum_matches_dense(window, profile, temp, bias, acoustic):
     model = replace(load_preset("strong_coupling", temperature_k=temp,
                                 strain_bias=bias),
                     zpl_profile=profile, acoustic_coupling=acoustic)
-    _assert_matches_dense(model, _window(model, window))
+    # the full band holds every line near the window: its residual is
+    # held to the code's own lattice, which a 16x finer one would make
+    # 3e8 wing evaluations
+    _assert_matches_dense(model, _window(model, window),
+                          -np.inf if window == "full" else 10.0)
 
 
-def test_failed_tail_check_redoes_with_every_line(monkeypatch):
-    # reaches far too short for the bound: the check must fail and the
-    # all-lines redo must reproduce the dense sum
+def test_large_huang_rhys_factor_keeps_its_weight():
+    # 40 net quanta held 0.967 of a mode with S = 30; the table now grows
+    # until every line it leaves out is below the line cutoff, and the
+    # channel s0 of the model passes the runtime check
     model = load_preset("strong_coupling")
-    calls = []
-    sums = dipole._channel_sums
+    mode = replace(model.modes[0], partial_hr=30.0)
+    ms, ws = dipole._mode_lines(mode, model.temperature, 1e-9)
+    assert ws.sum() >= 1.0 - 1e-6
+    assert ms.max() > 40
+    big = replace(model, modes=(mode,) + model.modes[1:])
+    assert np.any(orientation_vs_energy(big, _window(big, "full")).valid)
 
-    def spy(*args):
-        calls.append(args[-2:])
-        return sums(*args)
 
-    monkeypatch.setattr(dipole, "_line_reach",
-                        lambda m, budget: (0.0, m.acoustic_cutoff))
-    monkeypatch.setattr(dipole, "_channel_sums", spy)
-    _assert_matches_dense(model, _window(model, "polmap"))
-    assert calls[:2] == [(0.0, model.acoustic_cutoff), (np.inf, np.inf)]
+def test_huang_rhys_factor_beyond_the_table_raises():
+    # s ** m would overflow before the table holds the weight
+    mode = replace(load_preset("strong_coupling").modes[0], partial_hr=400.0)
+    with pytest.raises(NumericalError, match="quanta"):
+        dipole._mode_lines(mode, 300.0, 1e-9)
 
 
 def test_wing_root_never_below_lambert_w():
