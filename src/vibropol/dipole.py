@@ -299,10 +299,9 @@ def _stick_signal(shifts, coef, tau, lo: float, d: float) -> np.ndarray:
 
 
 def _wing_residual(model: EmitterModel, shifts, weights, bx, by, lo: float,
-                   d: float, n: int, span: tuple, reach_w: float, stride: int):
+                   d: float, n: int, span: tuple, reach_w: float):
     """(s1, s2) of the wing rotation residual at the n lattice points lo + j d
-    in span (0 elsewhere), from the lines within reach_w of each, sampled
-    at every stride-th point; weights carry the quadrature weight stride."""
+    in span (0 elsewhere), from the lines within reach_w of each."""
     a_ac = np.deg2rad(model.acoustic_direction)
     gx, gy = model.acoustic_gradient * np.array([np.cos(a_ac), np.sin(a_ac)])
     q_unit = (thermal_amplification(model) * np.sign(model.strain_bias)
@@ -311,12 +310,11 @@ def _wing_residual(model: EmitterModel, shifts, weights, bx, by, lo: float,
     c2_0, s2_0 = _axis_cos_sin(bx, by)
     j_lo = max(0, np.ceil((span[0] - lo) / d))
     j_hi = min(n - 1, np.floor((span[1] - lo) / d))
-    width = int(min(np.floor(2.0 * reach_w / (stride * d)) + 2.0,
-                    (j_hi - j_lo) // stride + 1))
+    width = int(min(np.floor(2.0 * reach_w / d) + 2.0, j_hi - j_lo + 1))
     first = np.clip(np.ceil((shifts - reach_w - lo) / d), j_lo, j_hi)
     count = np.minimum(np.floor((shifts + reach_w - lo) / d), j_hi) - first
     offset = lo + first * d - shifts
-    steps = stride * np.arange(width)
+    steps = np.arange(width)
     out = np.zeros((2, n))
     block = max(1, _ELEMENT_CAP // width)
     for i0 in range(0, shifts.size, block):
@@ -340,6 +338,8 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     """Channel-summed (s0, s1, s2) of the biased model on the grid, whose
     lineshape is ``weight`` (see ``orientation_vs_energy``)."""
     shifts, weights, vx, vy = _enumerate_lines(model)
+    # weight the cutoff left out (+ spreading, rounding: 1e-14)
+    dropped = abs(1.0 - weights.sum()) + 1e-12
     c2, sn2 = _axis_cos_sin(vx, vy)
     coef = weights * np.stack([np.ones_like(c2), c2, sn2])
     coef[1:] *= _jitter_dolp(model)
@@ -351,21 +351,19 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     reach = reach_p + reach_w
     kept = (shifts >= d_lo - reach) & (shifts <= d_hi + reach)
     shifts, coef, vx, vy = shifts[kept], coef[:, kept], vx[kept], vy[kept]
-    far = (np.maximum(d_lo - shifts, shifts - d_hi)
-           > reach_w + 20.0 * model.zpl_linewidth)
 
     def g_builder(tau, lo, d):
         g = _stick_signal(shifts, coef, tau, lo, d) * _wing_factor(model, tau)
         if thermal_amplification(model) * model.strain_bias != 0:
-            span, n = (d_lo - reach_p, d_hi + reach_p), 2 * (tau.size - 1)
-            res = sum(_wing_residual(model, shifts[s], m * coef[0, s], vx[s],
-                                     vy[s], lo, d, n, span, reach_w, m)
-                      for s, m in ((~far, 1), (far, 8)))
+            res = _wing_residual(model, shifts, coef[0], vx, vy, lo, d,
+                                 2 * (tau.size - 1), (d_lo - reach_p,
+                                                      d_hi + reach_p), reach_w)
             g[1:] += d * np.fft.rfft(res) * np.exp(-1j * lo * tau)
         return g
 
     s = _render_shift_spectrum(model, grid, g_builder, reach)
-    dropped = abs(1.0 - coef[0].sum()) + 1e-12  # + spreading, rounding (1e-14)
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("channel Stokes sums overflow")
     if not np.abs(s[0] - weight).max() <= dropped / model.zpl_linewidth + tol:
         raise NumericalError("channel s0 departs from the lineshape by more "
                              "than the dropped line weight allows")
@@ -395,16 +393,16 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
       its periodization bound (``_render_shift_spectrum``).
     - Near line i the residual is a_i+- |d|^{3/2}, |a_i+| <= 2 g a w_s w_i
       J / (knorm c^{5/2} |b_i|), |a_i-| <= (1 + A) |a_i+| (a the thermal, A
-      the anti-Stokes amplification).  Sampled at step h_i (d, or 8d past
-      R_w + 20 FWHM, where only a Lorentzian tail reaches the window) and
-      convolved with P, it is off by |e_k(x)| <= 0.0722 sum_i h_i^{5/2}
+      the anti-Stokes amplification).  Sampled at the lattice step d and
+      convolved with P, it is off by |e_k(x)| <= 0.0722 d^{5/2} sum_i
       (|a_i+| + |a_i-|) p(x - s_i): twice the leading term, as 0.0361 =
       2 Gamma(5/2) zeta(5/2) / (2 pi)^{5/2} >= |zeta(-3/2, theta)| in the
       Euler-Maclaurin formula for a branch singularity (Navot, J. Math.
       Phys. 40, 271 (1961)).
     - s0 has no residual: a NumericalError is raised where |s0 - weight|
-      exceeds (the line weight left out + 1e-12) x 1/FWHM (above the
-      profile's peak) plus the tail budget.
+      exceeds (the weight below the line cutoff + 1e-12) x 1/FWHM (above
+      the profile's peak) plus the tail budget, which covers the lines
+      beyond R.
     """
     weight = lineshape_density(model, grid)
     s0, s1, s2 = _stokes_sums(apply_strain_bias(model), grid, weight)
