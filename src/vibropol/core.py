@@ -19,6 +19,10 @@ KB_MEV = 8.617333262e-2
 # internal grid
 MAX_GRID_POINTS = 2 ** 22
 
+# most vibronic lines kept at once: net quanta of one mode, and lines of
+# the multi-mode product
+MAX_LINES = 400_000
+
 
 class ValidationError(ValueError):
     """Bad input: rejected before any computation starts."""

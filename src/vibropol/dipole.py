@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (EmitterModel, EnergyGrid, NumericalError, OrientationCurve,
-                   ValidationError, wrap_orientation, wrap_orientation_scalar)
+from .core import (MAX_LINES, EmitterModel, EnergyGrid, NumericalError,
+                   OrientationCurve, ValidationError, wrap_orientation,
+                   wrap_orientation_scalar)
 from .vibronic import (_acoustic_kernel_weights, _render_shift_spectrum,
                        _wing_factor, acoustic_wing_density, bose_occupation,
                        lineshape_density, mode_line_weights)
@@ -47,6 +48,7 @@ LOW_SIGNAL_FRACTION = 1e-6
 TAIL_FRACTION = 1e-12
 
 _ELEMENT_CAP = 65536    # wing residual block (cache-sized: 2x faster than 4M)
+_PRODUCT_CAP = 2 ** 23  # elements per array of a line product (64 MiB)
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,6 @@ def apply_strain_bias(model: EmitterModel) -> EmitterModel:
     return replace(model, modes=tuple(new_modes))
 
 
-def _mode_lines(mode, temperature: float, cutoff: float) -> tuple:
-    """Net-quanta lines of one mode: the table doubles from 40 quanta until
-    it holds the bulk of the weight and its last Stokes line (the heavier
-    end) is below cutoff, so every line left out is (log-concave weights)."""
-    quanta = 40
-    while quanta * math.log(max(mode.partial_hr, 1.0)) <= 700.0:
-        ms, ws = mode_line_weights(mode, temperature, quanta)
-        if ws.sum() > 0.5 and not np.any(ws[ms == quanta] >= cutoff):
-            return ms, ws
-        quanta *= 2
-    raise NumericalError(f"the {mode.energy_mev:g} meV mode needs more than "
-                         f"{quanta // 2} quanta")
-
-
 def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
     """Vibronic lines: positions (meV below ZPL), weights, channel axes.
 
@@ -203,7 +191,14 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
     vx = np.array([base[0]])
     vy = np.array([base[1]])
     for mode in model.modes:
-        ms, ws = _mode_lines(mode, model.temperature, cutoff)
+        ms, ws = mode_line_weights(mode, model.temperature)
+        # a product weight is at most each factor: drop this mode's lines
+        # below the cutoff first, then bound the product's size
+        ms, ws = ms[ws > cutoff], ws[ws > cutoff]
+        if shifts.size * ms.size > _PRODUCT_CAP:
+            raise NumericalError(f"the line product would hold "
+                                 f"{shifts.size * ms.size} elements "
+                                 f"(limit {_PRODUCT_CAP})")
         # channel displacement per net quanta: Stokes -sqrt(m),
         # anti-Stokes +sqrt(|m|) amplified
         qs = np.where(ms >= 0, -np.sqrt(np.abs(ms)),
@@ -218,8 +213,8 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
         keep = weights > cutoff
         shifts, weights, vx, vy = (shifts[keep], weights[keep],
                                    vx[keep], vy[keep])
-        if shifts.size > 400000:
-            raise NumericalError("vibronic line enumeration exploded")
+        if shifts.size > MAX_LINES:
+            raise NumericalError(f"more than {MAX_LINES} vibronic lines")
     if shifts.size == 0:
         raise NumericalError("no vibronic line above the weight cutoff")
     return shifts, weights, vx, vy

@@ -8,9 +8,9 @@ The production path multiplies the thermal generating function
 by the ZPL profile and the closed-form acoustic wing in the time domain;
 one real inverse FFT gives exact samples of the density at the caller's
 energy grid (``_render_shift_spectrum``).  The verification oracle sums
-explicit displaced-oscillator Franck-Condon factors with thermal
-initial-state occupation instead; both share the same rendering, so
-they differ only in how the vibronic line weights are generated.
+each mode's lines with their closed-form weights (``mode_line_weights``)
+instead; both share the same rendering, so they differ only in how the
+vibronic line weights are generated.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, NumericalError,
-                   PhononMode, Spectrum, ValidationError, KB_MEV)
+from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, MAX_LINES,
+                   NumericalError, PhononMode, Spectrum, ValidationError, KB_MEV)
 
 
 def _kt(temperature: float) -> float:
@@ -110,14 +110,15 @@ def acoustic_wing_density(model: EmitterModel, delta_mev):
     """Un-normalized acoustic wing density at signed detuning (meV).
 
     Positive delta is the Stokes side (emission below the parent line);
-    the anti-Stokes side is scaled by the Bose ratio e^{-d/kT}.
+    the anti-Stokes side is scaled by the Bose ratio e^{-d/kT}, so that it
+    decays over 1/(1/c + 1/kT), a length of 0 at T = 0.
     """
     d = np.asarray(delta_mev, dtype=float)
-    c = model.acoustic_cutoff
-    rho = model.acoustic_coupling * np.abs(d) / (c * c) * np.exp(-np.abs(d) / c)
-    kt = _kt(model.temperature)
-    boltz = np.exp(-np.abs(d) / kt) if kt > 0 else 0.0
-    return np.where(d >= 0, rho, rho * boltz)
+    c, kt = model.acoustic_cutoff, _kt(model.temperature)
+    length = np.where(d < 0, 1.0 / (1.0 / c + 1.0 / kt) if kt > 0 else 0.0, c)
+    with np.errstate(divide="ignore"):
+        decay = np.exp(-np.abs(d) / length)
+    return model.acoustic_coupling * np.abs(d) / (c * c) * decay
 
 
 def _span_estimate(model: EmitterModel):
@@ -270,50 +271,47 @@ def lineshape(model: EmitterModel, grid: EnergyGrid) -> Spectrum:
 
 
 # ------------------------------------------------------------------
-# brute-force Franck-Condon oracle
+# vibronic line weights and the line-sum oracle
 # ------------------------------------------------------------------
 
-def mode_line_weights(mode: PhononMode, temperature: float,
-                      max_quanta: int) -> tuple:
-    """Net-quanta line weights for one thermally occupied mode.
+def mode_line_weights(mode: PhononMode, temperature: float) -> tuple:
+    """Net-quanta line weights of one thermally occupied mode.
 
-    Returns (m_values, weights), m the net number of phonons created
-    (m > 0 is Stokes, |m| <= max_quanta).  Initial levels 0..i_max are
-    Boltzmann populated, i_max the fewest leaving out under 1e-16 of the
-    population (NumericalError beyond 170).  Levels lo and lo + m have the
-    Franck-Condon factor e^{-s} s^m (lo+m)!/(lo! (m!)^2) p^2, p the
-    normalized Laguerre polynomial L_lo^(m)(s)/C(lo+m, lo), from one
-    recurrence over all m: p_0 = 1, d_0 = 0, p_{k+1} = p_k + d_{k+1},
-    d_{k+1} = -s/(k+m+1) p_k + k/(k+m+1) d_k.
+    Returns (m_values, weights > 0 summing to 1), m > 0 the Stokes lines:
+    W_m = e^{-S(2n+1)} ((n+1)/n)^{m/2} I_m(2S sqrt(n(n+1))) (Huang & Rhys,
+    Proc. R. Soc. A 204, 406 (1950)), the law of N - N' for N, N' Poisson
+    of means a = S(n+1), Sn.  With q = n/(n+1), W_{-m} = q^m W_m; Miller's
+    backward recurrence (Gautschi, SIAM Rev. 9, 24 (1967)) runs r_m =
+    W_m/W_{m-1} = 1/(m/a + q r_{m+1}) (S/m at T = 0) down from r_{M+1} = 0,
+    off by the relative q^{M-m+1} W_M W_{M+1}/(W_{m-1} W_m).  At M, the
+    Chernoff bound min_t exp(a(e^t-1) + Sn(e^-t-1) - tM) on P(N - N' >= M)
+    is e^{-40} (Newton from the Gaussian point, below the root, ends above
+    it); the anti-Stokes tail is q^M of that.  Raises past M = MAX_LINES.
     """
-    s = mode.partial_hr
-    n = bose_occupation(mode.energy_mev, temperature)
-    q = n / (n + 1.0)                        # Boltzmann factor e^{-w/kT}
-    # q rounds to 1 at huge occupation: no number of levels suffices
-    need = np.log(1e-16) / np.log(q) if 0 < q < 1 else (np.inf if q else 0.0)
-    if not need <= 170:                      # more below w = 0.2166 kT
-        raise NumericalError(f"the {mode.energy_mev:g} meV mode needs {need:.4g} "
-                             f"thermal levels at {temperature:g} K (limit 170)")
-    i_max = int(np.ceil(need))
-    pops = (1.0 - q) * q ** np.arange(i_max + 1)
-
-    m = np.arange(max_quanta + 1)
-    p = np.ones((i_max + 1, m.size))
-    d = np.zeros(m.size)
-    for k in range(i_max):
-        d = -s / (k + m + 1) * p[k] + k / (k + m + 1) * d
-        p[k + 1] = p[k] + d
-    logfac = np.array([math.lgamma(j + 1.0) for j in range(i_max + m.size)])
-    lo = np.arange(i_max + 1)[:, None]
-    fc = (np.exp(-s + logfac[lo + m] - logfac[lo] - 2.0 * logfac[m])
-          * s ** m * p * p)
-    # Stokes lines go from level lo to lo + m, anti-Stokes lines back
-    stokes = (pops[:, None] * fc).sum(axis=0)
-    anti = (np.append(pops, np.zeros(max_quanta))[lo + m] * fc).sum(axis=0)
-    ms = np.concatenate([-m[:0:-1], m])
-    ws = np.concatenate([anti[:0:-1], stokes])
-    keep = ws > 0.0
-    return ms[keep], ws[keep]
+    s, n = mode.partial_hr, float(bose_occupation(mode.energy_mev, temperature))
+    if s == 0.0:
+        return np.zeros(1, dtype=int), np.ones(1)
+    q, a = n / (n + 1.0), s * (n + 1.0)
+    with np.errstate(all="ignore"):          # overflow ends at the cap
+        top = s + np.sqrt(80.0 * s * (2.0 * n + 1.0))     # rate <= 40 here
+        for _ in range(4):
+            u = top + np.sqrt(top * top + 4.0 * a * s * n)     # 2a e^t
+            t = np.log(u) - np.log(2.0 * a)
+            top += (40.0 - t * top + u / 2.0 - a + s * n * np.expm1(-t)) / t
+        if not top <= MAX_LINES:
+            raise NumericalError(f"the {mode.energy_mev:g} meV mode needs "
+                                 f"more than {MAX_LINES} quanta")
+    ratios, r = np.empty(math.ceil(top)), 0.0
+    for m in range(ratios.size, 0, -1):
+        r = 1.0 / (m / a + q * r)
+        ratios[m - 1] = r
+    p = np.count_nonzero(ratios >= 1.0)   # the peak: the ratios fall past 1
+    w = np.concatenate((np.cumprod(1.0 / ratios[:p][::-1])[::-1], [1.0],
+                        np.cumprod(ratios[p:])))
+    ms = np.arange(-ratios.size, ratios.size + 1)
+    ws = w[np.abs(ms)] * q ** np.maximum(-ms, 0)
+    ws /= ws.sum()
+    return ms[ws > 0.0], ws[ws > 0.0]
 
 
 def _unit_circle_poly(z, ms, ws):
@@ -335,11 +333,11 @@ def _unit_circle_poly(z, ms, ws):
 
 def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
                          max_quanta: int = 12) -> Spectrum:
-    """Oracle spectrum from explicit Franck-Condon sums per mode.
+    """Oracle spectrum: sums over each mode's closed-form line weights.
 
     Limited to 3 modes and max_quanta <= 40 net quanta per mode as a
-    combinatorial guard; the per-mode rendering is shared with
-    ``lineshape`` so the two differ only in the vibronic weights.
+    combinatorial guard; the rendering is shared with ``lineshape`` so the
+    two differ only in how the vibronic weights are generated.
     """
     if len(model.modes) > 3:
         raise ValidationError("brute-force oracle supports at most 3 modes")
@@ -347,8 +345,9 @@ def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
         raise ValidationError("max_quanta must lie in [1, 40]")
     _check_lineshape_grid(model, grid)
 
-    tables = [mode_line_weights(m, model.temperature, max_quanta)
-              for m in model.modes]
+    tables = [(ms[np.abs(ms) <= max_quanta], ws[np.abs(ms) <= max_quanta])
+              for ms, ws in (mode_line_weights(m, model.temperature)
+                             for m in model.modes)]
     kept = math.prod(float(ws.sum()) for _, ws in tables)
     if not abs(kept - 1.0) <= 1e-3:
         raise NumericalError(f"the tables keep {kept:.8f} of the weight")

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vibropol.cli as cli
 from vibropol.cli import main
-from vibropol.io import read_spectrum, write_rqwp_trace, _read_rows
+from vibropol.io import (read_map, read_spectrum, write_rqwp_trace,
+                         _read_rows)
 from vibropol.polarimetry import StokesVector, rqwp_intensity
 
 
@@ -354,8 +355,10 @@ SMALL_MAP = ["simulate-map", "--grid", "1.82:1.88:61", "--angles", "0:150:30"]
     (SMALL_MAP, "mode1 = 150, 1e300, 0.2, 0.1, 0", 3),
     # the full-band grid is capped like every other grid
     (["spectrum"], "zpl_linewidth_mev = 1e6", 2),
-    # a 0.5 meV mode at 300 K needs about 1900 thermal levels (limit 170)
-    (SMALL_MAP, "mode1 = 0.5, 0.5, 0.2, 0.1, 0", 3),
+    # two 1e-5 meV modes at 300 K keep about 16,000 lines each: their
+    # product would be 2.6e8 elements per array
+    (SMALL_MAP, "mode1 = 1e-5, 0.5, 0.2, 0.1, 0\n"
+                "mode2 = 1e-5, 0.5, 0.2, 0.1, 0", 3),
 ])
 def test_extreme_config_value_exits_cleanly(tmp_path, capsys, argv, line,
                                             code):
@@ -370,6 +373,19 @@ def test_extreme_config_value_exits_cleanly(tmp_path, capsys, argv, line,
     _assert_one_line_error(capsys, "error: numerical:" if code == 3
                            else "error: validation:")
     assert not out.exists()
+
+
+def test_soft_mode_past_the_former_level_limit_maps(tmp_path):
+    # a 0.5 meV mode at 300 K needed about 1900 thermal levels and exited
+    # 3 (limit 170); its closed-form line weights have no level limit
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1.0\n"
+                   "mode1 = 0.5, 0.5, 0.2, 0.1, 0\n")
+    out = tmp_path / "out.csv"
+    assert _run([*SMALL_MAP, "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    pmap = read_map(out)
+    assert pmap.intensity.shape == (61, 6) and pmap.intensity.max() > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -97,8 +97,10 @@ def test_integer_fields_are_stored_as_floats():
     assert all(type(getattr(m, f)) is float
                for f in ("energy_mev", "partial_hr", "partial_dq",
                          "grad_magnitude", "grad_direction"))
-    ms, w = mode_line_weights(m, 0.0, 40)
-    ref_ms, ref_w = mode_line_weights(PhononMode(60.0, 20.0, 0.1), 0.0, 40)
+    ms, w = mode_line_weights(m, 0.0)
+    ref_ms, ref_w = mode_line_weights(PhononMode(60.0, 20.0, 0.1), 0.0)
+    ms, w = ms[ms <= 40], w[ms <= 40]
+    ref_ms, ref_w = ref_ms[ref_ms <= 40], ref_w[ref_ms <= 40]
     assert ms.size == 41
     assert np.array_equal(ms, ref_ms) and np.array_equal(w, ref_w)
     assert abs(w.sum() - 1.0) < 1e-4

@@ -172,13 +172,13 @@ def test_strain_bias_monotonic_stokes_flank(monkeypatch):
     for temp in (77.0, 150.0, 200.0):
         assert _flank_is_monotone(
             load_preset("strong_coupling", temperature_k=temp))
-    mode_lines = dipole._mode_lines
+    mode_lines = dipole.mode_line_weights
 
-    def stokes_lines(mode, temperature, cutoff):
-        ms, ws = mode_lines(mode, temperature, cutoff)
+    def stokes_lines(mode, temperature):
+        ms, ws = mode_lines(mode, temperature)
         return ms[ms >= 0], ws[ms >= 0]
 
-    monkeypatch.setattr(dipole, "_mode_lines", stokes_lines)
+    monkeypatch.setattr(dipole, "mode_line_weights", stokes_lines)
     assert _flank_is_monotone(load_preset("strong_coupling"))
 
 
@@ -555,12 +555,12 @@ def test_banded_sum_matches_dense(window, profile, temp, bias, acoustic):
 
 
 def test_large_huang_rhys_factor_keeps_its_weight():
-    # 40 net quanta held 0.967 of a mode with S = 30; the table now grows
-    # until every line it leaves out is below the line cutoff, and the
-    # channel s0 of the model passes the runtime check
+    # 40 net quanta held 0.967 of a mode with S = 30; the lines now reach
+    # past the weight's tail, and the channel s0 of the model passes the
+    # runtime check
     model = load_preset("strong_coupling")
     mode = replace(model.modes[0], partial_hr=30.0)
-    ms, ws = dipole._mode_lines(mode, model.temperature, 1e-9)
+    ms, ws = dipole.mode_line_weights(mode, model.temperature)
     assert ws.sum() >= 1.0 - 1e-6
     assert ms.max() > 40
     big = replace(model, modes=(mode,) + model.modes[1:])
@@ -568,10 +568,13 @@ def test_large_huang_rhys_factor_keeps_its_weight():
 
 
 def test_huang_rhys_factor_beyond_the_table_raises():
-    # s ** m would overflow before the table holds the weight
+    # S = 400 overflowed the former table's s ** m; it now keeps its weight
     mode = replace(load_preset("strong_coupling").modes[0], partial_hr=400.0)
-    with pytest.raises(NumericalError, match="quanta"):
-        dipole._mode_lines(mode, 300.0, 1e-9)
+    ms, ws = dipole.mode_line_weights(mode, 300.0)
+    assert abs(ws.sum() - 1.0) <= 2e-16 and ms.max() > 400
+    # a mode needing more than MAX_LINES net quanta raises
+    with pytest.raises(NumericalError, match="more than 400000 quanta"):
+        dipole.mode_line_weights(replace(mode, partial_hr=1e6), 300.0)
 
 
 def test_wing_root_never_below_lambert_w():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import erfc, eval_genlaguerre, gammaln
+from scipy.special import erfc, eval_genlaguerre, gammaln, ive
 
 import vibropol.vibronic as vibronic
 from vibropol import (EmitterModel, NumericalError, PhononMode,
@@ -408,8 +408,9 @@ def _line_weight_gap(mode, temperature, max_quanta):
     """(largest relative gap on weights above 1e-9 of the total, largest
     absolute gap over the total) on the union of both m sets."""
     ref = _scipy_line_weights(mode, temperature, max_quanta)
-    ms, ws = vibronic.mode_line_weights(mode, temperature, max_quanta)
-    assert np.all(np.abs(ms) <= max_quanta) and np.all(ws > 0)
+    ms, ws = vibronic.mode_line_weights(mode, temperature)
+    assert np.all(ws > 0)
+    ms, ws = ms[np.abs(ms) <= max_quanta], ws[np.abs(ms) <= max_quanta]
     got = dict(zip(ms.tolist(), ws.tolist()))
     union = sorted(set(ref) | set(got))
     a = np.array([ref.get(m, 0.0) for m in union])
@@ -435,13 +436,37 @@ def test_line_weights_match_scipy_loop_over_extreme_modes():
         for s in (0.01, 0.5, 3.0, 20.0):
             for temp in (0.0, 30.0, 300.0, 1000.0):
                 if w < 0.2166 * KB_MEV * temp:
-                    continue                 # beyond the 170-level limit
+                    continue        # beyond the reference loop's 170 levels
                 worst = max(worst, _line_weight_gap(_mode(w, s), temp, 40)[1])
     assert worst <= 1e-14
 
 
-def test_too_many_thermal_levels_raise():
-    # 0.5 meV at 300 K needs about 1900 levels: raise, don't drop them
-    with pytest.raises(NumericalError, match="0.5 meV mode needs 1905 "
-                                             "thermal levels at 300 K"):
-        vibronic.mode_line_weights(_mode(0.5, 0.5), 300.0, 40)
+def test_line_weights_are_poisson_balanced_and_bessel():
+    # T = 0: the Poisson weights e^{-S} S^m / m!
+    for s in (0.01, 0.5, 3.0, 20.0):
+        ms, ws = vibronic.mode_line_weights(_mode(80.0, s), 0.0)
+        ref = np.array([math.exp(-s) * s ** m / math.factorial(m)
+                        for m in ms.tolist()])
+        assert np.all(ms >= 0) and np.all(np.abs(ws - ref) <= 1e-14 * ref)
+    # detailed balance W_{-m} = q^m W_m, q = e^{-w/kT}
+    for w, s, temp in ((20.0, 3.0, 300.0), (160.0, 1.0, 1000.0),
+                       (0.5, 0.5, 300.0)):
+        ms, ws = vibronic.mode_line_weights(_mode(w, s), temp)
+        n = bose_occupation(w, temp)
+        got = dict(zip(ms.tolist(), ws.tolist()))
+        for m in range(1, ms.max() + 1):
+            if -m in got:
+                assert abs(got[-m] - (n / (n + 1.0)) ** m * got[m]) <= (
+                    1e-14 * got[-m])
+    # modes past the former 170-level limit (0.5 meV at 300 K needed
+    # 1905 levels): W_m = e^{-S(2n+1) + x} ((n+1)/n)^{m/2} ive(m, x),
+    # x = 2 S sqrt(n (n+1))
+    for s in (0.05, 0.5, 5.0):
+        ms, ws = vibronic.mode_line_weights(_mode(0.5, s), 300.0)
+        n = bose_occupation(0.5, 300.0)
+        x = 2.0 * s * math.sqrt(n * (n + 1.0))
+        ref = (np.exp(x - s * (2.0 * n + 1.0) + 0.5 * ms * np.log1p(1.0 / n))
+               * ive(np.abs(ms), x))
+        big = ref > 1e-9
+        assert abs(ws.sum() - 1.0) <= 1e-15
+        assert np.max(np.abs(ws[big] - ref[big]) / ref[big]) <= 1e-13
