@@ -5,13 +5,14 @@ The source model: each excitation pulse emits at most one signal photon
 homogeneous Poisson process; an ideal 50:50 splitter routes every
 detection to one of two channels.  The pulsed g2(0) estimator divides
 the center-peak coincidence sum by the mean side-peak sum, the standard
-normalization for pulsed antibunching values.  Pulses are skip-sampled
-and coincidences counted in offset passes: memory follows the tags.
+normalization for pulsed antibunching values.  Pulses are skip-sampled,
+the stream is built in place and coincidences are counted in offset
+passes over fixed blocks of tags: memory is the stream plus a fixed block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -21,25 +22,28 @@ from .core import MAX_GRID_POINTS, ValidationError
 MAX_STREAM_EVENTS = 2 ** 28
 # tag comparisons g2_histogram may make: offset passes times tags
 MAX_PASS_WORK = 2 ** 30
+_BLOCK_TAGS = 2 ** 18     # tags per block of g2_histogram's offset passes
 
 
 @dataclass(frozen=True)
 class PhotonStream:
     """Time-tagged detections: picosecond tags plus detector channel."""
 
-    time_tags: np.ndarray     # ps, sorted ascending
+    time_tags: np.ndarray     # ps, finite, sorted ascending
     channel: np.ndarray       # 0 or 1
+    adopt: InitVar[bool] = False   # keep, not copy, the arrays (internal)
 
-    def __post_init__(self):
+    def __post_init__(self, adopt):
         tags = np.asarray(self.time_tags, dtype=float)
         ch = np.asarray(self.channel)
         if tags.shape != ch.shape or tags.ndim != 1:
             raise ValidationError("tags and channels must be equal 1-D arrays")
-        if np.any(np.diff(tags) < 0):
-            raise ValidationError("time tags must be sorted ascending")
+        if not np.isfinite(tags).all() or np.any(tags[1:] < tags[:-1]):
+            raise ValidationError("time tags must be finite, sorted ascending")
         if not np.all((ch == 0) | (ch == 1)):
             raise ValidationError("channels must be 0 or 1")
-        tags, ch = tags.copy(), ch.astype(np.int8)
+        if not adopt:
+            tags, ch = tags.copy(), ch.astype(np.int8)
         tags.setflags(write=False); ch.setflags(write=False)
         object.__setattr__(self, "time_tags", tags)
         object.__setattr__(self, "channel", ch)
@@ -84,16 +88,21 @@ def simulate_stream(signal_prob: float, background_rate: float,
     hits = [np.array([-1])]
     block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
     while signal_prob > 0 and hits[-1][-1] < n_pulses - 1:
-        gaps = np.minimum(rng.geometric(signal_prob, block), n_pulses + 1)
-        hits.append(hits[-1][-1] + np.cumsum(gaps))
-    hit = np.concatenate(hits)[1:]
-    hit = hit[:np.searchsorted(hit, n_pulses)]
-    sig = hit * period_ns + rng.exponential(lifetime_ns, hit.size)
-    bg = np.sort(rng.random(rng.poisson(background_rate * duration_s)))
+        hits.append(rng.geometric(signal_prob, block))
+        np.minimum(hits[-1], n_pulses + 1, out=hits[-1])
+        np.cumsum(hits[-1], out=hits[-1])
+        hits[-1] += hits[-2][-1]
+    hits = hits[1] if len(hits) == 2 else np.concatenate(hits)[1:]
+    t = hits[:np.searchsorted(hits, n_pulses)] * period_ns     # signal
+    del hits
+    t += rng.exponential(lifetime_ns, t.size)
+    bg = rng.random(rng.poisson(background_rate * duration_s))
+    bg.sort(); bg *= duration_s; bg *= 1e9
+    t = np.concatenate([t, bg])
     # the stable sort merges the two (nearly) sorted runs in O(n)
-    t_ns = np.sort(np.concatenate([sig, bg * duration_s * 1e9]), kind="stable")
-    ch = rng.integers(0, 2, t_ns.size, dtype=np.int8)
-    return PhotonStream(t_ns * 1e3, ch)
+    t.sort(kind="stable"); t *= 1e3
+    ch = rng.integers(0, 2, t.size, dtype=np.int8)
+    return PhotonStream(t, ch, adopt=True)
 
 
 def histogram_bins(bin_width_ns: float, window_ns: float,
@@ -122,29 +131,37 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     standard error of the side-peak sums.
     """
     n_bins = histogram_bins(bin_width_ns, window_ns, rep_period_ns)
-    t, ch = stream.time_tags * 1e-3, stream.channel
+    tags, ch = stream.time_tags, stream.channel
     if ch.all() or not ch.any():
         raise ValidationError("both detector channels must be populated")
     # pass j pairs every tag with its j-th successor; in a sorted stream
-    # the first pass with no pair inside the window ends the count
-    j_max = max(1, MAX_PASS_WORK // t.size)
-    if np.any(t[j_max:] - t[:-j_max] <= window_ns):
-        raise ValidationError(f"stream too dense: over {j_max} tags in one "
-                              f"{window_ns:g} ns window")
+    # the first pass with no pair inside the window ends the count.  The
+    # block of tags [lo, lo + B) reads its successors up to lo + B + j_max.
+    j_max = max(1, MAX_PASS_WORK // tags.size)
+    starts, reach = range(0, tags.size, _BLOCK_TAGS), _BLOCK_TAGS + j_max
+    for lo in starts:
+        t = tags[lo:lo + reach] * 1e-3
+        if np.any(t[j_max:] - t[:-j_max] <= window_ns):
+            raise ValidationError(f"stream too dense: over {j_max} tags in "
+                                  f"one {window_ns:g} ns window")
     edges = -window_ns + bin_width_ns * np.arange(n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
     hist, peaks = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 1, int)
-    for j in range(1, t.size):
-        d = t[j:] - t[:-j]
-        near = d <= window_ns
-        if not near.any():
-            break
-        i = np.flatnonzero(near & (ch[j:] != ch[:-j]))
-        tau = np.where(ch[i], -d[i], d[i])     # t1 - t0
-        hist += np.histogram(tau, bins=edges)[0]
-        k = np.rint(tau / rep_period_ns).astype(int)
-        peaks += np.bincount(k[abs(k) <= k_max] + k_max, minlength=peaks.size)
+    for lo in starts:
+        t, c = tags[lo:lo + reach] * 1e-3, ch[lo:lo + reach]
+        for j in range(1, t.size):
+            e = min(_BLOCK_TAGS, t.size - j)   # pairs (i, i + j), i in block
+            d = t[j:j + e] - t[:e]
+            near = d <= window_ns
+            if not near.any():
+                break
+            i = np.flatnonzero(near & (c[j:j + e] != c[:e]))
+            tau = np.where(c[i], -d[i], d[i])     # t1 - t0
+            hist += np.histogram(tau, bins=edges)[0]
+            k = np.rint(tau / rep_period_ns).astype(int)
+            peaks += np.bincount(k[abs(k) <= k_max] + k_max,
+                                 minlength=peaks.size)
     center_sum = int(peaks[k_max])
     side_sums = np.delete(peaks, k_max).astype(float)   # 2 k_max >= 8 peaks
     mean_side = side_sums.mean()

@@ -204,7 +204,9 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
         raise NumericalError(f"internal grid would need {need:.3g} points "
                              "(limit 2^22); " + (
             f"the finest grid spacing allowed is {finest * 1e-3:.3g} eV"
-            if model.zpl_linewidth / 8.0 >= finest else "widen the linewidth"))
+            if model.zpl_linewidth / 8.0 >= finest else "widen the linewidth"
+            if 8.0 * finest < model.zpl_energy * 1e3 else f"the {span:.3g} "
+            "meV span needs a linewidth beyond the ZPL energy"))
     n, k, m0 = _fft_size(int(need)), int(k), int(m0)
     tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)            # 1/meV
     g = (g_builder(tau, lo, d) * np.exp(1j * lo * tau)

@@ -388,6 +388,19 @@ def test_soft_mode_past_the_former_level_limit_maps(tmp_path):
     assert pmap.intensity.shape == (61, 6) and pmap.intensity.max() > 0
 
 
+def test_overflowing_span_is_named_in_the_lattice_error(tmp_path, capsys):
+    # at 1e300 K the band's span, not the step, overflows the 2^22-point
+    # lattice: only a linewidth wider than the photon energy would fit it
+    out = tmp_path / "out.csv"
+    assert _run(["simulate-map", "--preset", "strong_coupling", "--temp",
+                 "1e300", "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: internal grid would need")
+    assert "1.03e+300 meV span needs a linewidth beyond the ZPL energy" in err
+    assert "widen the linewidth" not in err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["g2", "--background-rate", "1e300"],  # was "lam value too large"
     ["g2", "--signal-fraction", "1e-300"],

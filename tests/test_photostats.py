@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -42,6 +45,22 @@ def test_photon_stream_type_validation():
         PhotonStream(np.array([2.0, 1.0]), np.array([0, 1]))
     with pytest.raises(ValidationError):
         PhotonStream(np.array([1.0, 2.0]), np.array([0, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_photon_stream_rejects_non_finite_tags(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        PhotonStream(np.array([1.0, bad, 3.0, 4.0]), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValidationError, match="finite"):
+        PhotonStream(np.array([1.0, 3.0, bad]), np.array([0, 1, 0]))
+
+
+def test_photon_stream_copies_a_callers_arrays():
+    tags, ch = np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0])
+    stream = PhotonStream(tags, ch)
+    tags[0], ch[0] = 9.0, 1
+    assert stream.time_tags[0] == 1.0 and stream.channel[0] == 0
+    assert not stream.time_tags.flags.writeable
 
 
 def test_g2_expected_landmarks():
@@ -218,3 +237,97 @@ def test_density_guard_allows_exactly_the_budgeted_passes(monkeypatch):
     monkeypatch.setattr(photostats, "MAX_PASS_WORK", runs * t.size - 1)
     with pytest.raises(ValidationError, match="too dense"):
         g2_histogram(stream, 0.5, 500.0, 50.0)
+
+
+# the same cases with blocks of 1000 tags, so that pairs straddle the
+# block edges of g2_histogram's offset passes
+_PAIR_CASES = test_offset_passes_match_pair_expansion.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_PAIR_CASES.args, **_PAIR_CASES.kwargs)
+def test_offset_passes_match_pair_expansion_across_blocks(
+        monkeypatch, make, bin_width, window, period):
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    test_offset_passes_match_pair_expansion(make, bin_width, window, period)
+
+
+def test_density_guard_is_exact_across_blocks(monkeypatch):
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    test_density_guard_allows_exactly_the_budgeted_passes(monkeypatch)
+
+
+@pytest.mark.parametrize("first", [0, 998, 999, 2997])
+def test_density_guard_sees_a_cluster_on_a_block_edge(monkeypatch, first):
+    # tags 1 us apart but for three within one window from index first; with
+    # blocks of 1000 tags the cluster at 998 or 999 straddles a block edge
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    monkeypatch.setattr(photostats, "MAX_PASS_WORK", 2 * 3000)  # j_max = 2
+    tags = 1e6 * np.arange(3000.0)
+    tags[first + 1:first + 3] = tags[first] + np.array([1e5, 2e5])
+    stream = PhotonStream(tags, np.arange(tags.size) % 2)
+    with pytest.raises(ValidationError, match="too dense: over 2 tags"):
+        g2_histogram(stream, 0.5, 500.0, 50.0)
+
+
+def _former_simulate_stream(signal_prob, background_rate, rep_rate_mhz,
+                            lifetime_ns, duration_s, seed):
+    """simulate_stream's draws as they were before the in-place build:
+    every step allocates a new array."""
+    rng = np.random.default_rng(seed)
+    period_ns = 1e3 / rep_rate_mhz
+    n_pulses = int(duration_s * rep_rate_mhz * 1e6)
+    hits = [np.array([-1])]
+    block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
+    while signal_prob > 0 and hits[-1][-1] < n_pulses - 1:
+        gaps = np.minimum(rng.geometric(signal_prob, block), n_pulses + 1)
+        hits.append(hits[-1][-1] + np.cumsum(gaps))
+    hit = np.concatenate(hits)[1:]
+    hit = hit[:np.searchsorted(hit, n_pulses)]
+    sig = hit * period_ns + rng.exponential(lifetime_ns, hit.size)
+    bg = np.sort(rng.random(rng.poisson(background_rate * duration_s)))
+    t_ns = np.sort(np.concatenate([sig, bg * duration_s * 1e9]), kind="stable")
+    ch = rng.integers(0, 2, t_ns.size, dtype=np.int8)
+    return t_ns * 1e3, ch
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 2e5, 20.0, 2.0, 0.05, 51),          # background only
+    (1.0, 0.0, 20.0, 2.0, 0.22, 52),          # 4.4e6 hits: two gap blocks
+    (0.3, 0.0, 20.0, 2.0, 0.05, 53),          # no background
+    (0.4, 1e5, 20.0, 9.99, 0.05, 54),         # lifetime just under T/5
+    (0.1, 3e5, 37.0, 2.0, 0.03, 55),
+    (0.0, 0.0, 20.0, 2.0, 0.01, 56),          # empty stream
+], ids=["p0", "p1_two_blocks", "no_background", "long_lifetime", "rho",
+        "empty"])
+def test_in_place_build_is_bit_identical(args):
+    def digest(tags, ch):
+        return (tags.dtype, ch.dtype, tags.size,
+                hashlib.sha256(tags.tobytes() + ch.tobytes()).hexdigest())
+
+    # one stream at a time: the former build peaks at about 6x its output
+    former = digest(*_former_simulate_stream(*args))
+    stream = simulate_stream(*args[:5], seed=args[5])
+    assert digest(stream.time_tags, stream.channel) == former
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes that fn allocated through numpy or Python)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_g2_memory_is_the_stream_plus_a_fixed_block():
+    peaks = []
+    for duration in (0.2, 0.8):
+        stream, build_peak = _traced_peak(_rho_stream, 0.943, 61, 20.0,
+                                          duration)
+        stream_bytes = stream.time_tags.nbytes + stream.channel.nbytes
+        # the in-place build peaks near 2x the stream it returns
+        assert build_peak <= 3.0 * stream_bytes
+        peaks.append(_traced_peak(g2_histogram, stream, 0.5, 500.0, 50.0)[1])
+    # 4x the tags add 11.5 MB to the stream; the count's working set stays
+    assert peaks[1] <= peaks[0] + 2e6

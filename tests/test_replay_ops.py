@@ -5,6 +5,7 @@ The pinned lines were read off a run of ``perfbench/run.py --workload g2
 """
 
 import importlib.util
+import resource
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_ops.py"
@@ -31,3 +32,9 @@ def test_replayed_op_is_checked(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "op 2: 0.943 noise seed 523745914"
     assert out[-1] == "ok"
+    # the op's CPU seconds and the process's peak RSS up to that line
+    cpu_key, cpu_s, rss_key, rss_mb = out[-2].split()
+    assert (cpu_key, rss_key) == ("cpu_s", "peak_rss_mb")
+    assert 0.0 < float(cpu_s) < 60.0
+    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0.0 < float(rss_mb) <= round(peak_now, 1)

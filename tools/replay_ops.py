@@ -12,15 +12,20 @@ failed can be found by its case and replayed on two trees:
 The listing prints ``op case noise_seed`` lines.  ``--trace 1`` numbers
 the ops as a traced run does: each draw runs twice, so it takes two op
 indices.  ``--op N`` re-runs op N's CLI calls with vibropol from ``--src``
-(default: this checkout), applies the workload's output check, and exits
-0 if the check passes and 1 if it fails.
+(default: this checkout), applies the workload's output check, prints
+the op's CPU seconds (``time.process_time``, as perfbench/run.py times an
+op) and the process's peak RSS, and exits 0 if the check passes and 1 if
+it fails.  Replaying one op with ``--src`` set to each of two trees, in
+two processes, compares their time and memory on that op alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,25 +45,28 @@ def op_sequence(n_cases: int, seed: int, rounds: int, traced: bool = False):
                 op += 1
 
 
-def replay(workload, case, noise_seed: int, src: Path) -> str | None:
-    """Run one op on the tree at ``src``; None if its check passes, else
-    the failure."""
+def replay(workload, case, noise_seed: int, src: Path):
+    """Run one op on the tree at ``src``.  Returns (failure or None if its
+    check passes, CPU seconds of the op's CLI calls)."""
     sys.path.insert(0, str(src))
     import vibropol
     import vibropol.cli as cli
     print(f"# vibropol from {Path(vibropol.__file__).parent}")
     if not workload.setup(vibropol):
-        return "workload set-up check failed"
+        return "workload set-up check failed", 0.0
     with tempfile.TemporaryDirectory() as d:
+        t0 = time.process_time()
         for argv in workload.argv(case, noise_seed, d):
             rc = cli.main(argv)
             if rc != 0:
-                return f"exit code {rc} from {argv[0]}"
+                return (f"exit code {rc} from {argv[0]}",
+                        time.process_time() - t0)
+        cpu_s = time.process_time() - t0
         try:
             workload.check(case, d)
         except Exception as exc:
-            return f"check: {type(exc).__name__}: {exc}"
-    return None
+            return f"check: {type(exc).__name__}: {exc}", cpu_s
+    return None, cpu_s
 
 
 def main(argv=None) -> int:
@@ -90,7 +98,10 @@ def main(argv=None) -> int:
         return 0
     _, i, noise_seed = ops[args.op]
     print(f"op {args.op}: {cases[i]} noise seed {noise_seed}")
-    error = replay(workload, cases[i], noise_seed, Path(args.src))
+    error, cpu_s = replay(workload, cases[i], noise_seed, Path(args.src))
+    # ru_maxrss is in KiB on Linux, as perfbench/run.py reads it
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"cpu_s {cpu_s:.4f} peak_rss_mb {peak_mb:.1f}")
     print("ok" if error is None else f"FAILED {error}")
     return 0 if error is None else 1
 
