@@ -267,8 +267,16 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
     if noise == "poisson" and counts_per_point > POISSON_MAX_COUNTS:
         raise ValidationError(
             f"poisson noise needs counts_per_point <= {POISSON_MAX_COUNTS:g}")
+    return _render_map(orientation_vs_energy(model, grid), angles_deg, mode,
+                       counts_per_point, noise, seed)
+
+
+def _render_map(curve: OrientationCurve, angles_deg, mode: str,
+                counts_per_point: float, noise: str,
+                seed: int) -> PolarizationMap:
+    """``simulate_polarization_map`` of a computed forward curve."""
     angles = np.asarray(angles_deg, dtype=float)
-    s0, s1, s2 = _forward_stokes(orientation_vs_energy(model, grid))
+    s0, s1, s2 = _forward_stokes(curve)
     t = np.deg2rad(angles)[None, :]
     if mode == "analyzer":
         inten = 0.5 * (s0[:, None] + s1[:, None] * np.cos(2 * t)
@@ -284,7 +292,7 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
     if noise == "poisson":
         rng = np.random.default_rng(seed)
         expected = rng.poisson(expected).astype(float)
-    return PolarizationMap(grid, angles, np.clip(expected, 0.0, None))
+    return PolarizationMap(curve.grid, angles, np.clip(expected, 0.0, None))
 
 
 def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
@@ -354,12 +362,11 @@ def roundtrip_checks() -> list:
     for preset in PRESET_NAMES:
         for temp in (6.0, 300.0):
             model = load_preset(preset, temperature_k=temp)
-            grid = default_map_grid(model)
-            fwd = binned_forward_psi(orientation_vs_energy(model, grid))
+            forward = orientation_vs_energy(model, default_map_grid(model))
+            fwd = binned_forward_psi(forward)
             for mode in ("analyzer", "rqwp"):
-                pmap = simulate_polarization_map(
-                    model, grid, default_map_angles(mode), mode=mode,
-                    counts_per_point=1e4, noise="none")
+                pmap = _render_map(forward, default_map_angles(mode), mode,
+                                   1e4, "none", 0)
                 curve = analyze_map(pmap, mode=mode, bin_width_mev=4.0)
                 sel = curve.valid & np.isfinite(fwd)
                 devs = np.abs(wrap_orientation(curve.psi[sel] - fwd[sel]))

@@ -22,6 +22,8 @@ import numpy as np
 from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, MAX_LINES,
                    NumericalError, PhononMode, Spectrum, ValidationError, KB_MEV)
 
+TAIL_WEIGHT = 1e-13        # weight the full band may leave out on each side
+
 
 def _kt(temperature: float) -> float:
     """k_B T in meV; 0 at T = 0 and where the product underflows."""
@@ -121,29 +123,67 @@ def acoustic_wing_density(model: EmitterModel, delta_mev):
     return model.acoustic_coupling * np.abs(d) / (c * c) * decay
 
 
+def _mode_cgf(s, n, x):
+    """A mode's net-quanta CGF at x = w t, S[(n+1) expm1(x) + n expm1(-x)],
+    as S[expm1(x) + 4n sinh^2(x/2)], which cannot cancel."""
+    return s * (np.expm1(x) + np.where(n > 0, 4 * n * np.sinh(x / 2) ** 2, 0))
+
+
+def _chernoff(cgf, kappa2: float, rate: float):
+    """Least x >= 0 with P(X >= x) <= e^{-rate} (Chernoff, Ann. Math. Stat.
+    23, 493 (1952)), one per row of the CGF K = cgf (nan or inf off its
+    strip): min over t > 0 of (K(t) + rate)/t.  Each t bounds; the ratio
+    falls, then rises.  33 points span 16 decades about sqrt(2 rate/kappa2),
+    kappa2 ~ K''(0), move 15 decades (at most 40 times) while the least is
+    at an end, then twice span 1/16 of the last span about the least."""
+    def bounds(log_t):
+        t = 10.0 ** log_t
+        return np.fmin((cgf(t) + rate) / t, np.inf)        # nan: no bound
+
+    u = np.linspace(-8.0, 8.0, 33)
+    mid = (math.log10(2 * rate) - math.log10(max(kappa2, 1e-300))) / 2
+    with np.errstate(all="ignore"):
+        for moves in range(41):
+            f = bounds(mid + u)
+            i = f.argmin(axis=-1)[..., None]
+            end = i % 32 == 0
+            if moves == 40 or not end.any():
+                break
+            mid = mid + np.where(i, 15.0, -15.0) * end
+        for _ in range(2):
+            mid, u = mid + u[i], u / 16.0
+            f = bounds(mid + u)
+            i = f.argmin(axis=-1)[..., None]
+    return np.maximum(f.min(axis=-1), 0.0)
+
+
 def _span_estimate(model: EmitterModel):
-    """Conservative shift range (meV) containing all spectral weight."""
-    stokes = anti = 50.0 * model.zpl_linewidth + 10.0
-    var_s = var_a = 0.0
-    kt = _kt(model.temperature)
-    for m in model.modes:
-        n = bose_occupation(m.energy_mev, model.temperature)
-        stokes += m.partial_hr * (n + 1) * m.energy_mev
-        anti += m.partial_hr * n * m.energy_mev
-        var_s += m.partial_hr * (n + 1) * np.square(m.energy_mev)
-        var_a += m.partial_hr * n * np.square(m.energy_mev)
-    if model.modes:
-        wmax = max(m.energy_mev for m in model.modes)
-        stokes += 8.0 * wmax
-        if kt > 0:
-            anti += 6.0 * wmax
-    stokes += 8.0 * np.sqrt(var_s)
-    anti += 8.0 * np.sqrt(var_a)
-    if model.acoustic_coupling > 0:
-        stokes += 60.0 * model.acoustic_cutoff
-        if kt > 0:
-            anti += 40.0 / (1.0 / model.acoustic_cutoff + 1.0 / kt)
-    return anti, stokes
+    """(anti, stokes) shifts (meV) past which each side of the ZPL holds at
+    most TAIL_WEIGHT: ``_chernoff`` on the shift's CGF, sum_k ``_mode_cgf``
+    + (sigma t)^2/2 (Gaussian) + ln W(t), W = (1 + w_s/(1 - ct)^2 + w_as/
+    (1 + c't)^2)/knorm the ``_wing_factor`` at tau = it, c' = 1/(1/c +
+    1/kT).  A Lorentzian has no CGF: it adds 500 FWHM a side, past which
+    its tail holds 1/(1000 pi) = 3.2e-4 (``lineshape`` allows 1e-3)."""
+    s, w, n = np.array([(m.partial_hr, m.energy_mev, bose_occupation(
+        m.energy_mev, model.temperature)) for m in model.modes]).reshape(-1, 3).T
+    w_s, w_as, knorm = _acoustic_kernel_weights(model)
+    c = model.acoustic_cutoff if w_s else 0.0
+    c_as = 1.0 / (1.0 / c + 1.0 / _kt(model.temperature)) if w_as else 0.0
+    lorentz = model.zpl_profile == "lorentzian"
+    sigma = 0.0 if lorentz else model.zpl_linewidth / (8 * math.log(2)) ** 0.5
+    sides = np.array([[-1.0], [1.0]])
+
+    def cgf(t):                         # rows: anti-Stokes -t, Stokes t
+        t = t * sides                   # W is inf off -1/c' < t < 1/c
+        wing = (1 + w_s / np.maximum(1 - c * t, 0.0) ** 2
+                + w_as / np.maximum(1 + c_as * t, 0.0) ** 2)
+        return (np.log(wing / knorm) + (sigma * t) ** 2 / 2
+                + _mode_cgf(s, n, t[..., None] * w).sum(axis=-1))
+
+    kappa2 = sigma * sigma + np.sum(s * (2 * n + 1) * w * w) + 6 * c * c * w_s
+    anti, stokes = (_chernoff(cgf, kappa2, -math.log(TAIL_WEIGHT))
+                    + (500.0 * model.zpl_linewidth if lorentz else 0.0))
+    return float(anti), float(stokes)
 
 
 def _wing_factor(model: EmitterModel, tau):
@@ -172,12 +212,13 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
 
     g_builder(tau, lo, d) returns the time signal, wing included, of one
     density (or one per row) on the lattice lo + j d of step d = s/k, s the
-    grid spacing and k = ceil(s / (linewidth/8)); the ZPL profile multiplies
+    grid spacing and k = ceil(8 s / linewidth); the ZPL profile multiplies
     it here.  The lattice holds every shift D = E_ZPL - E of the grid, read
-    off by slicing, and spans [D_min - reach, D_max + reach], or the full
-    band [min(D_min, 0) - anti, max(D_max, 0) + stokes] (``_span_estimate``)
-    at infinite reach, padded to a fast FFT size n.  Its samples are those
-    of the density periodized on P = n d, up to the signal beyond pi/d:
+    off by slicing, and spans [D_min - reach, D_max + reach], or at infinite
+    reach the full band [min(D_min, 0) - anti, max(D_max, 0) + stokes], past
+    which each side holds at most TAIL_WEIGHT (``_span_estimate``), padded
+    to a fast FFT size n.  Its samples are those of the density periodized
+    on P = n d, up to the signal beyond pi/d:
       Gaussian (sigma = FWHM/2.3548): at most d e^{-(sigma pi/d)^2/2} /
         (pi sigma)^2 per sample, e^{-(sigma pi/d)^2/2} <= 1.9e-25;
       Lorentzian (FWHM Gamma): at most 2/(pi Gamma) e^{-Gamma pi/(2d)},
@@ -187,12 +228,13 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     s = grid.spacing * 1e3
     d_min = (model.zpl_energy - grid.max_energy) * 1e3
     d_max = (model.zpl_energy - grid.min_energy) * 1e3
-    k = np.ceil(s / (model.zpl_linewidth / 8.0))
+    k = np.ceil(8.0 * s / model.zpl_linewidth)
     d = s / k
-    anti_ext, stokes_ext = _span_estimate(model)
-    below, top = ((reach, d_max + reach) if np.isfinite(reach) else
-                  (d_min - min(d_min, 0.0) + anti_ext,
-                   max(d_max, 0.0) + stokes_ext))
+    if np.isfinite(reach):
+        below, top = reach, d_max + reach
+    else:
+        anti, stokes = _span_estimate(model)
+        below, top = d_min - min(d_min, 0.0) + anti, max(d_max, 0.0) + stokes
     m0 = np.ceil(below / d)
     lo = d_min - m0 * d
     span = top - lo
@@ -200,13 +242,16 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     if not np.all(np.isfinite([k, lo, span, need])):
         raise NumericalError("renderer window is not finite")
     if not need <= MAX_GRID_POINTS:
-        finest = span / (MAX_GRID_POINTS - 3)
+        finest = span / (MAX_GRID_POINTS - 3)     # d = s/k fits from here
         raise NumericalError(f"internal grid would need {need:.3g} points "
                              "(limit 2^22); " + (
             f"the finest grid spacing allowed is {finest * 1e-3:.3g} eV"
-            if model.zpl_linewidth / 8.0 >= finest else "widen the linewidth"
-            if 8.0 * finest < model.zpl_energy * 1e3 else f"the {span:.3g} "
-            "meV span needs a linewidth beyond the ZPL energy"))
+            if model.zpl_linewidth / 8.0 >= finest else f"the {span:.3g} "
+            "meV span needs a linewidth beyond the ZPL energy"
+            if 8.0 * finest >= model.zpl_energy * 1e3 else "widen the "
+            f"linewidth to {8.0 * s / (s // finest):.3g} meV" if s >= finest
+            else f"widen the linewidth to {8.0 * finest:.3g} meV and the "
+            f"grid spacing to {finest * 1e-3:.3g} eV"))
     n, k, m0 = _fft_size(int(need)), int(k), int(m0)
     tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)            # 1/meV
     g = (g_builder(tau, lo, d) * np.exp(1j * lo * tau)
@@ -228,14 +273,21 @@ def _check_lineshape_grid(model: EmitterModel, grid: EnergyGrid):
                 "grid must extend at least 5 phonon quanta below the ZPL")
 
 
-def full_band_grid(model: EmitterModel, spacing_mev: float = 0.25) -> EnergyGrid:
-    """Energy grid wide enough to hold all spectral weight of the model."""
+def full_band_grid(model: EmitterModel,
+                   spacing_mev: float | None = None) -> EnergyGrid:
+    """Energy grid over the full band (``_span_estimate``), and over the 5
+    quanta below the ZPL that ``lineshape`` asks for.  The spacing defaults
+    to min(0.25 meV, FWHM/4): the trapezoid area of a line is then off by
+    at most 2 e^{-4 pi} = 7e-6 (Lorentzian)."""
+    if spacing_mev is None:
+        spacing_mev = min(0.25, model.zpl_linewidth / 4.0)
     if not spacing_mev > 0:
         raise ValidationError("spacing must be > 0")
     anti, stokes = _span_estimate(model)
-    lo = model.zpl_energy - stokes * 1e-3
+    lo = model.zpl_energy - max([stokes * 1e-3] + [
+        5.0 * (m.energy_mev * 1e-3) for m in model.modes])
     hi = model.zpl_energy + anti * 1e-3
-    n = np.ceil((hi - lo) / (spacing_mev * 1e-3)) + 1
+    n = np.floor((hi - lo) / (spacing_mev * 1e-3)) + 2
     return EnergyGrid(lo, lo + (n - 1) * spacing_mev * 1e-3, n)
 
 
@@ -285,24 +337,19 @@ def mode_line_weights(mode: PhononMode, temperature: float) -> tuple:
     of means a = S(n+1), Sn.  With q = n/(n+1), W_{-m} = q^m W_m; Miller's
     backward recurrence (Gautschi, SIAM Rev. 9, 24 (1967)) runs r_m =
     W_m/W_{m-1} = 1/(m/a + q r_{m+1}) (S/m at T = 0) down from r_{M+1} = 0,
-    off by the relative q^{M-m+1} W_M W_{M+1}/(W_{m-1} W_m).  At M, the
-    Chernoff bound min_t exp(a(e^t-1) + Sn(e^-t-1) - tM) on P(N - N' >= M)
-    is e^{-40} (Newton from the Gaussian point, below the root, ends above
-    it); the anti-Stokes tail is q^M of that.  Raises past M = MAX_LINES.
+    off by the relative q^{M-m+1} W_M W_{M+1}/(W_{m-1} W_m).  M is the
+    ``_chernoff`` bound at rate 40 on the one-mode ``_mode_cgf``, so P(N - N'
+    >= M) <= e^{-40}; the anti-Stokes tail is q^M of that.  Raises past M =
+    MAX_LINES.
     """
     s, n = mode.partial_hr, float(bose_occupation(mode.energy_mev, temperature))
     if s == 0.0:
         return np.zeros(1, dtype=int), np.ones(1)
     q, a = n / (n + 1.0), s * (n + 1.0)
-    with np.errstate(all="ignore"):          # overflow ends at the cap
-        top = s + np.sqrt(80.0 * s * (2.0 * n + 1.0))     # rate <= 40 here
-        for _ in range(4):
-            u = top + np.sqrt(top * top + 4.0 * a * s * n)     # 2a e^t
-            t = np.log(u) - np.log(2.0 * a)
-            top += (40.0 - t * top + u / 2.0 - a + s * n * np.expm1(-t)) / t
-        if not top <= MAX_LINES:
-            raise NumericalError(f"the {mode.energy_mev:g} meV mode needs "
-                                 f"more than {MAX_LINES} quanta")
+    top = float(_chernoff(lambda t: _mode_cgf(s, n, t), s * (2 * n + 1), 40))
+    if not top <= MAX_LINES:
+        raise NumericalError(f"the {mode.energy_mev:g} meV mode needs "
+                             f"more than {MAX_LINES} quanta")
     ratios, r = np.empty(math.ceil(top)), 0.0
     for m in range(ratios.size, 0, -1):
         r = 1.0 / (m / a + q * r)

@@ -396,9 +396,22 @@ def test_overflowing_span_is_named_in_the_lattice_error(tmp_path, capsys):
                  "1e300", "--out", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: internal grid would need")
-    assert "1.03e+300 meV span needs a linewidth beyond the ZPL energy" in err
+    assert "2.02e+152 meV span needs a linewidth beyond the ZPL energy" in err
     assert "widen the linewidth" not in err
     assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_subnormal_linewidth_is_a_numerical_error(tmp_path, capsys):
+    # linewidth/8 underflowed to 0 and the lattice step divided by it
+    # (was ZeroDivisionError)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 5e-324\n"
+                   "mode1 = 160, 1, 0.2, 0.1, 10\n")
+    out = tmp_path / "out.csv"
+    assert _run(["spectrum", "--grid", "1.80:1.86:61", "--config", str(cfg),
+                 "--out", str(out), "--quiet"]) == 3
+    _assert_one_line_error(capsys, "error: numerical:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

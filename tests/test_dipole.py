@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import lambertw
 
 import vibropol.dipole as dipole
@@ -15,7 +16,7 @@ from vibropol.core import wrap_orientation_scalar
 import vibropol.vibronic as vibronic
 from vibropol.vibronic import (_acoustic_kernel_weights, _wing_factor,
                                acoustic_wing_density, full_band_grid,
-                               lineshape_density)
+                               lineshape, lineshape_density)
 
 
 def _model(modes, psi0=0.0, mu0=1.0, **kw):
@@ -589,3 +590,40 @@ def test_wing_root_never_below_lambert_w():
     assert np.abs(rel[a <= 0.3]).max() <= 1e-12
     assert dipole._falling_root(0.5) == 1.0
     assert dipole._falling_root(0.0) == math.inf
+
+
+@st.composite
+def _random_model(draw):
+    """0-3 modes, either profile, 0-500 K, with or without a wing"""
+    modes = [PhononMode(draw(st.floats(1.0, 200.0)), draw(st.floats(0.0, 3.0)),
+                        draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.6)),
+                        draw(st.floats(-90.0, 90.0)))
+             for _ in range(draw(st.integers(0, 3)))]
+    wing = draw(st.booleans())
+    return EmitterModel(
+        zpl_energy=1.848, equilibrium_angle=draw(st.floats(-90.0, 90.0)),
+        equilibrium_dipole=1.0, modes=tuple(modes),
+        zpl_linewidth=draw(st.floats(0.3, 3.0)),
+        zpl_profile=draw(st.sampled_from(["gaussian", "lorentzian"])),
+        temperature=draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0))),
+        acoustic_coupling=draw(st.floats(0.1, 3.0)) if wing else 0.0,
+        acoustic_cutoff=draw(st.floats(0.5, 5.0)),
+        strain_bias=draw(st.floats(-1.0, 1.0)),
+        acoustic_gradient=draw(st.floats(0.0, 0.05)) if wing else 0.0,
+        orientation_jitter=draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model=_random_model())
+def test_random_models_render_and_orient(model):
+    # lineshape takes its own full band, and the map window's curve raises
+    # no NumericalError and has DOLP <= 1 and psi finite where valid (a
+    # bias that apply_strain_bias cannot realize is a ValidationError)
+    lineshape(model, full_band_grid(model))
+    window = make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030, 121)
+    try:
+        curve = orientation_vs_energy(model, window)
+    except ValidationError:
+        return
+    assert np.all(curve.dolp <= 1.0)
+    assert np.all(np.isfinite(curve.psi[curve.valid]))

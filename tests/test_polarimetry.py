@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import vibropol.dipole as dipole
+import vibropol.polarimetry as polarimetry
 from vibropol import (MalusFit, PolarizationEllipse, StokesVector,
                       ValidationError, analyze_map, condon_limit,
                       ellipse_to_stokes, extract_stokes_rqwp, fit_malus,
@@ -267,3 +269,19 @@ def test_extracted_stokes_physicality():
             continue
         sv = extract_stokes_rqwp(pmap.angles, s.profile)
         assert sv.physicality_deficit <= 1e-9 * sv.s0
+
+
+def test_roundtrip_computes_each_forward_curve_once(monkeypatch):
+    # one curve per (preset, T) serves both of its maps, plus three for the
+    # OPSB offset and the intra-OPSB sweep (each map made its own: 15)
+    calls = []
+
+    def counted(model, grid):
+        calls.append(grid.n_points)
+        return orientation(model, grid)
+
+    orientation = dipole.orientation_vs_energy
+    monkeypatch.setattr(dipole, "orientation_vs_energy", counted)
+    monkeypatch.setattr(polarimetry, "orientation_vs_energy", counted)
+    rows = polarimetry.roundtrip_checks()
+    assert len(calls) == 7 and all(ok for *_, ok in rows)

@@ -1,11 +1,14 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import erfc, eval_genlaguerre, gammaln, ive
 
 import vibropol.vibronic as vibronic
@@ -177,7 +180,7 @@ def test_lineshape_grid_must_cover_zpl():
 
 def test_lineshape_no_anti_stokes_at_t0():
     model = _model([_mode(165.0, 1.5)], linewidth=1.0)
-    grid = full_band_grid(model, 0.2)
+    grid = make_grid(model.zpl_energy - 1.5, model.zpl_energy + 0.02, 7601)
     spec = lineshape(model, grid)
     cut = model.zpl_energy + 5.0 * model.zpl_linewidth * 1e-3
     above = spec.intensity[grid.points > cut]
@@ -299,11 +302,121 @@ def test_too_fine_grid_names_the_finest_spacing():
     model = load_preset("strong_coupling", temperature_k=300.0)
     grid = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
     with pytest.raises(NumericalError, match="finest grid spacing allowed "
-                                             "is 1.69e-06 eV"):
+                                             "is 1.5e-06 eV"):
         lineshape_density(model, grid)
     # no spacing helps when linewidth/8 is finer than that
     with pytest.raises(NumericalError, match="widen the linewidth"):
         lineshape_density(replace(model, zpl_linewidth=1e-3), grid)
+
+
+def test_too_fine_grid_names_the_spacing_it_needs():
+    # the lattice step is spacing/k <= FWHM/8: a wider line fits the 0.1 meV
+    # map spacing, while a 1e-6 eV spacing must widen too
+    model = replace(load_preset("strong_coupling", temperature_k=300.0),
+                    zpl_linewidth=1e-3)
+    with pytest.raises(NumericalError, match="widen the linewidth") as err:
+        lineshape_density(model, _map_window(model))
+    assert "grid spacing" not in str(err.value)
+    wide = float(re.search(r"linewidth to (\S+) meV", str(err.value))[1])
+    lineshape_density(replace(model, zpl_linewidth=1.01 * wide),
+                      _map_window(model))
+    fine = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
+    with pytest.raises(NumericalError, match=r"widen the linewidth to \S+ "
+                       "meV and the grid spacing to 1.5e-06 eV"):
+        lineshape_density(model, fine)
+
+
+def _unclipped_density(model, grid):
+    """lineshape_density's render, read off a second row, which the
+    renderer does not clip at 0: summed, its rounding noise cancels"""
+    occ = [(m, bose_occupation(m.energy_mev, model.temperature))
+           for m in model.modes]
+
+    def g_builder(tau, *_):
+        log_g = sum(m.partial_hr * ((2.0 * n + 1.0) * np.cos(m.energy_mev * tau)
+                                    - 2.0 * n - 1.0
+                                    - 1j * np.sin(m.energy_mev * tau))
+                    for m, n in occ)
+        g = np.exp(log_g) * vibronic._wing_factor(model, tau)
+        return np.stack([g, g])
+
+    return vibronic._render_shift_spectrum(model, grid, g_builder)[1]
+
+
+@pytest.mark.parametrize("case,temp", [
+    *[(p, t) for p in ("strong_coupling", "weak_coupling")
+      for t in (0.0, 6.0, 300.0)], ("no wing", 300.0), ("no modes", 300.0)])
+def test_full_band_leaves_out_at_most_the_tail_weight(case, temp):
+    model = load_preset(case if case.endswith("coupling") else
+                        "strong_coupling", temperature_k=temp)
+    if case == "no wing":
+        model = replace(model, acoustic_coupling=0.0)
+    if case == "no modes":
+        model = replace(model, modes=())
+    anti, stokes = vibronic._span_estimate(model)
+    grid = make_grid(model.zpl_energy - 4e-3 * stokes,
+                     model.zpl_energy + 4e-3 * anti,
+                     int(16.0 * (anti + stokes)) + 1)     # 0.25 meV or finer
+    dens = _unclipped_density(model, grid)
+    shift = (model.zpl_energy - grid.points) * 1e3
+    h = grid.spacing * 1e3
+    assert dens[shift >= stokes].sum() * h <= vibronic.TAIL_WEIGHT
+    assert dens[shift <= -anti].sum() * h <= vibronic.TAIL_WEIGHT
+
+
+@pytest.mark.parametrize("preset", ["strong_coupling", "weak_coupling"])
+def test_cold_full_band_is_the_zero_kelvin_band(preset):
+    # the 6 K anti-Stokes weight lies within about 15 meV of the ZPL
+    cold, zero = (full_band_grid(load_preset(preset, temperature_k=t))
+                  for t in (6.0, 0.0))
+    assert abs(cold.n_points - zero.n_points) <= 0.01 * zero.n_points
+
+
+def _least_bound(cgf, rate):
+    """min over t of (K(t) + rate)/t per row: 62801 points over the 628
+    decades of double t, then Brent's method about the least of them"""
+    def bound(log_t):
+        t = 10.0 ** np.asarray(log_t, dtype=float)
+        with np.errstate(all="ignore"):
+            f = (cgf(t) + rate) / t
+        return np.where(np.isnan(f), np.inf, f)
+
+    log_t = np.linspace(-320.0, 308.0, 62801)
+    f = bound(log_t)
+    out = []
+    for k, row in enumerate(np.atleast_2d(f)):
+        i = int(np.argmin(row))
+        r = minimize_scalar(
+            lambda x: float(np.atleast_2d(bound([x]))[k, 0]),
+            bounds=(log_t[max(i - 1, 0)], log_t[min(i + 1, log_t.size - 1)]),
+            method="bounded", options={"xatol": 1e-13})
+        out.append(max(min(row[i], r.fun), 0.0))
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(s=st.one_of(st.just(1e6), st.floats(-6.0, 6.0).map(lambda x: 10 ** x)),
+       w=st.floats(0.5, 200.0),
+       temp=st.one_of(st.just(0.0), st.just(1e300), st.floats(0.0, 1000.0)),
+       sigma=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+       c=st.one_of(st.just(0.0), st.floats(0.5, 5.0)),
+       rate=st.floats(1.0, 60.0))
+def test_chernoff_search_finds_the_least_bound(s, w, temp, sigma, c, rate):
+    # a mode, a Gaussian and a Gamma(2, c) shift (CGF -2 ln(1 - ct), inf
+    # past t = 1/c), on both sides: each x is the bound at some t, never
+    # below the least one and within 1% of it (below 1e-290 meV, both are 0)
+    n = bose_occupation(w, temp)
+
+    def cgf(t):
+        t = t * np.array([[-1.0], [1.0]])
+        return (vibronic._mode_cgf(s, n, w * t) + (sigma * t) ** 2 / 2
+                - 2.0 * np.log((1.0 - c * t).clip(0.0)))
+
+    kappa2 = s * (2.0 * n + 1.0) * w * w + sigma ** 2 + 2.0 * c * c
+    got = vibronic._chernoff(cgf, kappa2, rate)
+    least = _least_bound(cgf, rate)
+    assert np.all(got >= least * (1.0 - 1e-12) - 1e-290)
+    assert np.all(got <= 1.01 * least + 1e-290)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
