@@ -33,9 +33,9 @@ import numpy as np
 from .core import (MAX_LINES, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, ValidationError, wrap_orientation,
                    wrap_orientation_scalar)
-from .vibronic import (_acoustic_kernel_weights, _render_shift_spectrum,
-                       _wing_factor, acoustic_wing_density, bose_occupation,
-                       lineshape_density, mode_line_weights)
+from .vibronic import (_acoustic_kernel_weights, _phase_ramp, _wing_factor,
+                       _render_shift_spectrum, acoustic_wing_density,
+                       bose_occupation, lineshape_density, mode_line_weights)
 
 # anti-Stokes channels sample displacement sqrt(n) * (1 + this factor)
 ANTI_STOKES_AMPLIFICATION = 1.0
@@ -49,6 +49,7 @@ TAIL_FRACTION = 1e-12
 
 _ELEMENT_CAP = 65536    # wing residual block (cache-sized: 2x faster than 4M)
 _PRODUCT_CAP = 2 ** 23  # elements per array of a line product (64 MiB)
+_CHANNEL_POINTS = 2 ** 28 // 96  # 256 MiB: 3 rows x (2 reals + 1 complex)
 
 
 @dataclass(frozen=True)
@@ -288,8 +289,8 @@ def _stick_signal(shifts, coef, tau, lo: float, d: float) -> np.ndarray:
     kern = np.exp(-np.square((near - u)[:, None] + steps) / 8.0)
     f = np.stack([np.bincount(idx.ravel(), (kern * c[:, None]).ravel(),
                               minlength=4 * (tau.size - 1)) for c in coef])
-    deconv = (np.exp(0.5 * np.square(d * tau) - 1j * lo * tau)
-              / (2.0 * np.sqrt(2.0 * np.pi)))
+    deconv = (np.exp(0.5 * np.square(d * tau)) / (2.0 * np.sqrt(2.0 * np.pi))
+              * _phase_ramp(lo * tau[1], tau.size))
     return np.fft.rfft(f)[:, :tau.size] * deconv
 
 
@@ -353,10 +354,10 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
             res = _wing_residual(model, shifts, coef[0], vx, vy, lo, d,
                                  2 * (tau.size - 1), (d_lo - reach_p,
                                                       d_hi + reach_p), reach_w)
-            g[1:] += d * np.fft.rfft(res) * np.exp(-1j * lo * tau)
+            g[1:] += d * np.fft.rfft(res) * _phase_ramp(lo * tau[1], tau.size)
         return g
 
-    s = _render_shift_spectrum(model, grid, g_builder, reach)
+    s = _render_shift_spectrum(model, grid, g_builder, reach, _CHANNEL_POINTS)
     if not np.all(np.isfinite(s)):
         raise NumericalError("channel Stokes sums overflow")
     if not np.abs(s[0] - weight).max() <= dropped / model.zpl_linewidth + tol:

@@ -7,8 +7,9 @@ The production path multiplies the thermal generating function
 
 by the ZPL profile and the closed-form acoustic wing in the time domain;
 one real inverse FFT gives exact samples of the density at the caller's
-energy grid (``_render_shift_spectrum``).  The verification oracle sums
-each mode's lines with their closed-form weights (``mode_line_weights``)
+energy grid (``_render_shift_spectrum``) at one complex exponential per t
+(``_phase_ramp``, ``_profile_cut``).  The verification oracle sums each
+mode's lines with their closed-form weights (``mode_line_weights``)
 instead; both share the same rendering, so they differ only in how the
 vibronic line weights are generated.
 """
@@ -23,6 +24,7 @@ from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, MAX_LINES,
                    NumericalError, PhononMode, Spectrum, ValidationError, KB_MEV)
 
 TAIL_WEIGHT = 1e-13        # weight the full band may leave out on each side
+PROFILE_FLOOR = 40.0       # the render leaves out tau where profile < e^{-40}
 
 
 def _kt(temperature: float) -> float:
@@ -97,6 +99,22 @@ def _profile_factor(tau, linewidth_mev: float, profile: str):
     return np.exp(-0.5 * (sigma * tau) ** 2)
 
 
+def _profile_cut(model: EmitterModel, tau) -> int:
+    """Number of leading tau (ascending) where ``_profile_factor`` >= e^{-40}
+    (PROFILE_FLOOR): tau FWHM <= 80 (Lorentzian), 4 sqrt(40 ln 2) (Gaussian)."""
+    edge = (2.0 * PROFILE_FLOOR if model.zpl_profile == "lorentzian" else
+            4.0 * math.sqrt(PROFILE_FLOOR * math.log(2.0)))
+    return int(np.searchsorted(tau, edge / model.zpl_linewidth, "right"))
+
+
+def _phase_ramp(a: float, n: int) -> np.ndarray:
+    """e^{-i a j}, j < n, from 2 ceil(sqrt n) phasors (an outer product); each
+    phase rounds once, so entry j is within (|a| j + 8) 2^-53 of e^{-i a j}."""
+    b = math.isqrt(max(n - 1, 0)) + 1
+    j = np.arange(b, dtype=float)
+    return (np.exp(-1j * a * (b * j))[:, None] * np.exp(-1j * a * j)).ravel()[:n]
+
+
 def _acoustic_kernel_weights(model: EmitterModel):
     """Wing weights: Stokes w_s, anti-Stokes w_as = integral of
     rho(d) e^{-d/kT}, and the normalization 1 + w_s + w_as."""
@@ -163,7 +181,8 @@ def _span_estimate(model: EmitterModel):
     + (sigma t)^2/2 (Gaussian) + ln W(t), W = (1 + w_s/(1 - ct)^2 + w_as/
     (1 + c't)^2)/knorm the ``_wing_factor`` at tau = it, c' = 1/(1/c +
     1/kT).  A Lorentzian has no CGF: it adds 500 FWHM a side, past which
-    its tail holds 1/(1000 pi) = 3.2e-4 (``lineshape`` allows 1e-3)."""
+    its tail holds 1/(1000 pi) = 3.2e-4 (``lineshape`` allows 1e-3).  At T =
+    0 it is the only anti-Stokes shift, so that side is not searched."""
     s, w, n = np.array([(m.partial_hr, m.energy_mev, bose_occupation(
         m.energy_mev, model.temperature)) for m in model.modes]).reshape(-1, 3).T
     w_s, w_as, knorm = _acoustic_kernel_weights(model)
@@ -171,7 +190,8 @@ def _span_estimate(model: EmitterModel):
     c_as = 1.0 / (1.0 / c + 1.0 / _kt(model.temperature)) if w_as else 0.0
     lorentz = model.zpl_profile == "lorentzian"
     sigma = 0.0 if lorentz else model.zpl_linewidth / (8 * math.log(2)) ** 0.5
-    sides = np.array([[-1.0], [1.0]])
+    cold = lorentz and _kt(model.temperature) == 0
+    sides = np.array([[1.0]] if cold else [[-1.0], [1.0]])
 
     def cgf(t):                         # rows: anti-Stokes -t, Stokes t
         t = t * sides                   # W is inf off -1/c' < t < 1/c
@@ -181,7 +201,8 @@ def _span_estimate(model: EmitterModel):
                 + _mode_cgf(s, n, t[..., None] * w).sum(axis=-1))
 
     kappa2 = sigma * sigma + np.sum(s * (2 * n + 1) * w * w) + 6 * c * c * w_s
-    anti, stokes = (_chernoff(cgf, kappa2, -math.log(TAIL_WEIGHT))
+    tails = _chernoff(cgf, kappa2, -math.log(TAIL_WEIGHT))
+    anti, stokes = (np.concatenate(([0.0] if cold else [], tails))
                     + (500.0 * model.zpl_linewidth if lorentz else 0.0))
     return float(anti), float(stokes)
 
@@ -207,7 +228,7 @@ def _fft_size(n: int) -> int:
 
 
 def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
-                           reach: float = np.inf):
+                           reach: float = np.inf, limit: float = np.inf):
     """Exact samples of the density (1/meV) at the photon energies of grid.
 
     g_builder(tau, lo, d) returns the time signal, wing included, of one
@@ -224,7 +245,12 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
       Lorentzian (FWHM Gamma): at most 2/(pi Gamma) e^{-Gamma pi/(2d)},
         e^{-Gamma pi/(2d)} <= e^{-4 pi} = 3.5e-6, plus the periodized tail,
         sum_{m != 0} Gamma/(2 pi (delta + m P)^2) per unit line weight.
-    Only the first row, the intensity, is clipped at 0."""
+    The tau (step t = 2 pi/P) past ``_profile_cut`` hold at most e^{-40} (t
+    + 1/r)/pi per sample and unit weight, r = sqrt(80) sigma (Gaussian) or
+    Gamma/2; the shift e^{i lo tau}, a ``_phase_ramp``, adds at most (|lo|
+    pi/d + 8) 2^-53 of the profile's peak.  Past min(limit, MAX_GRID_POINTS)
+    points it raises, naming a spacing or linewidth that fits.  Only the
+    first row, the intensity, is clipped at 0."""
     s = grid.spacing * 1e3
     d_min = (model.zpl_energy - grid.max_energy) * 1e3
     d_max = (model.zpl_energy - grid.min_energy) * 1e3
@@ -241,10 +267,11 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     need = np.ceil(span / d) + 1.0
     if not np.all(np.isfinite([k, lo, span, need])):
         raise NumericalError("renderer window is not finite")
-    if not need <= MAX_GRID_POINTS:
-        finest = span / (MAX_GRID_POINTS - 3)     # d = s/k fits from here
+    limit = min(limit, MAX_GRID_POINTS)
+    if not need <= limit:
+        finest = span / (limit - 3)               # d = s/k fits from here
         raise NumericalError(f"internal grid would need {need:.3g} points "
-                             "(limit 2^22); " + (
+                             f"(limit {limit}); " + (
             f"the finest grid spacing allowed is {finest * 1e-3:.3g} eV"
             if model.zpl_linewidth / 8.0 >= finest else f"the {span:.3g} "
             "meV span needs a linewidth beyond the ZPL energy"
@@ -254,9 +281,10 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
             f"grid spacing to {finest * 1e-3:.3g} eV"))
     n, k, m0 = _fft_size(int(need)), int(k), int(m0)
     tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)            # 1/meV
-    g = (g_builder(tau, lo, d) * np.exp(1j * lo * tau)
-         * _profile_factor(tau, model.zpl_linewidth, model.zpl_profile))
-    dens = np.fft.irfft(g, n) / d
+    cut = _profile_cut(model, tau)
+    g = (g_builder(tau, lo, d)[..., :cut] * _phase_ramp(-lo * tau[1], cut)
+         * _profile_factor(tau[:cut], model.zpl_linewidth, model.zpl_profile))
+    dens = np.fft.irfft(g, n) / d                  # zero-padded past the cut
     out = np.array(dens[..., m0:m0 + (grid.n_points - 1) * k + 1:k][..., ::-1])
     intensity = out if out.ndim == 1 else out[0]
     intensity[:] = np.clip(intensity, 0.0, None)
@@ -303,12 +331,14 @@ def lineshape_density(model: EmitterModel, grid: EnergyGrid) -> np.ndarray:
 
     def g_builder(tau, *_):
         # log G = sum_k S_k [(2 n_k + 1)(cos w_k t - 1) - i sin w_k t]
-        re, im = np.zeros_like(tau), np.zeros_like(tau)
+        cut = _profile_cut(model, tau)
+        g = np.zeros(tau.size, dtype=complex)
         for m, n in zip(model.modes, n_occ):
-            x = m.energy_mev * tau
-            re += m.partial_hr * (2.0 * n + 1.0) * (np.cos(x) - 1.0)
-            im -= m.partial_hr * np.sin(x)
-        return np.exp(re + 1j * im) * _wing_factor(model, tau)
+            z = _phase_ramp(m.energy_mev * tau[1], cut)
+            z.real = (2.0 * n + 1.0) * (z.real - 1.0)
+            g[:cut] += m.partial_hr * z
+        g[:cut] = np.exp(g[:cut]) * _wing_factor(model, tau[:cut])
+        return g
 
     return _render_shift_spectrum(model, grid, g_builder)
 
@@ -318,9 +348,14 @@ def lineshape(model: EmitterModel, grid: EnergyGrid) -> Spectrum:
     _check_lineshape_grid(model, grid)
     dens = lineshape_density(model, grid)
     covered = np.trapezoid(dens, grid.points * 1e3)
-    if abs(covered - 1.0) > 1e-3:
-        raise NumericalError(f"grid truncates {abs(1.0 - covered):.2e} of "
-                             "the spectral weight (limit 1e-3)")
+    if abs(covered - 1.0) > 1e-3:   # a line's area is off by <= 2 P(2 pi/h)
+        h, fwhm = grid.spacing * 1e3, model.zpl_linewidth
+        off = 2.0 * _profile_factor(2.0 * np.pi / h, fwhm, model.zpl_profile)
+        raise NumericalError((
+            f"grid spacing {h:.3g} meV is too coarse for the {fwhm:.3g} meV "
+            f"linewidth: the trapezoid area is off by up to {off:.2e}" if off
+            > 1e-3 else f"grid truncates {abs(1.0 - covered):.2e} of the "
+            "spectral weight") + " (limit 1e-3)")
     return Spectrum(grid, dens)
 
 
@@ -363,23 +398,6 @@ def mode_line_weights(mode: PhononMode, temperature: float) -> tuple:
     return ms[ws > 0.0], ws[ws > 0.0]
 
 
-def _unit_circle_poly(z, ms, ws):
-    """sum_m ws[m] z^m for |z| = 1: Horner in z for the Stokes powers
-    m >= 0 and in conj(z) = 1/z for the anti-Stokes powers m < 0."""
-    total = np.zeros_like(z)
-    for base, sel in ((z, ms >= 0), (np.conj(z), ms < 0)):
-        if not np.any(sel):
-            continue
-        c = np.zeros(int(np.abs(ms[sel]).max()) + 1)
-        c[np.abs(ms[sel])] = ws[sel]
-        acc = np.full_like(z, c[-1])
-        for ck in c[-2::-1]:
-            acc *= base
-            acc += ck
-        total += acc
-    return total
-
-
 def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
                          max_quanta: int = 12) -> Spectrum:
     """Oracle spectrum: sums over each mode's closed-form line weights.
@@ -404,7 +422,8 @@ def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
     def g_builder(tau, *_):
         g = np.ones_like(tau, dtype=complex)
         for mode, (ms, ws) in zip(model.modes, tables):
-            g *= _unit_circle_poly(np.exp(-1j * mode.energy_mev * tau), ms, ws)
+            g *= sum(w * _phase_ramp(m * mode.energy_mev * tau[1], tau.size)
+                     for m, w in zip(ms, ws))
         return g * _wing_factor(model, tau)
 
     return Spectrum(grid, _render_shift_spectrum(model, grid, g_builder))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vibropol.cli as cli
+import vibropol.dipole as dipole
 from vibropol.cli import main
 from vibropol.io import (read_map, read_spectrum, write_rqwp_trace,
                          _read_rows)
@@ -399,6 +401,29 @@ def test_overflowing_span_is_named_in_the_lattice_error(tmp_path, capsys):
     assert "2.02e+152 meV span needs a linewidth beyond the ZPL energy" in err
     assert "widen the linewidth" not in err
     assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_channel_render_size_is_checked_before_it_is_allocated(
+        tmp_path, capsys, monkeypatch):
+    # the channel lattice of a 0.01 meV grid on ZPL +- 30 meV needs about
+    # 28,500 points; with room for 20,000 it exits 3, naming a spacing
+    # that fits, before any stick is spread
+    monkeypatch.setattr(dipole, "_CHANNEL_POINTS", 20000)
+    spread = []
+    stick_signal = dipole._stick_signal
+    monkeypatch.setattr(dipole, "_stick_signal",
+                        lambda *a: spread.append(1) or stick_signal(*a))
+    out = tmp_path / "out.csv"
+    argv = ["simulate-map", "--preset", "strong_coupling", "--angles",
+            "0:150:30", "--out", str(out), "--quiet", "--grid"]
+    assert _run([*argv, "1.818:1.878:6001"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: internal grid would need")
+    assert "(limit 20000)" in err and not spread and not out.exists()
+    # the message rounds the spacing to 3 digits
+    fits = float(re.search(r"spacing allowed is (\S+) eV", err)[1]) * 1.01
+    assert _run([*argv, f"1.818:1.878:{int(0.06 / fits) + 1}"]) == 0
+    assert spread and out.exists()
 
 
 def test_subnormal_linewidth_is_a_numerical_error(tmp_path, capsys):

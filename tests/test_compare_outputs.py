@@ -1,0 +1,48 @@
+"""tools/compare_outputs.py runs every output command on two trees."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_outputs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_tree_matches_itself(capsys):
+    assert _tool().main(["--src", str(ROOT), "--src", str(ROOT / "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"# A = {ROOT / 'src'}", f"# B = {ROOT / 'src'}"]
+    files = [ln.split()[0] for ln in lines[2:-1]]
+    # 12 spectra, 8 maps with their 8 reports, and g2
+    assert len(files) == 29 and "g2.csv" in files
+    assert all(ln.endswith("  identical") for ln in lines[2:-1])
+    assert lines[-1] == "# 29 of 29 files identical"
+
+
+def test_differing_rows_are_counted_against_the_column_peak(tmp_path):
+    tool = _tool()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("# x = 1\nenergy_ev,intensity\n1.0,2.0\n1.1,4.0\n1.2,1.0\n")
+    b.write_text("# x = 1\nenergy_ev,intensity\n1.0,2.0\n1.1,4.0\n1.2,1.2\n")
+    assert tool.compare(a, a) == "identical"
+    assert tool.compare(a, b) == ("differs  rows 1/3  max 5.00e-02 of peak "
+                                  "(intensity)")
+    b.write_text("# x = 1\nenergy_ev,intensity\n1.0,2.0\n")
+    assert tool.compare(a, b).startswith("differs  columns or row count")
+
+
+def test_a_tree_without_the_package_is_an_error(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        _tool().main(["--src", str(ROOT)])
+    capsys.readouterr()
+    assert _tool().main(["--src", str(ROOT), "--src", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path} holds no vibropol "
+                                       "package\n")

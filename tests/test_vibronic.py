@@ -298,6 +298,24 @@ def test_lorentzian_render_against_longer_finer_reference(temp, monkeypatch):
     assert err <= 5e-5 and err < SHIPPED_LORENTZIAN_ERROR[temp]
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "lorentzian"])
+def test_coarse_grid_is_told_apart_from_truncation(profile):
+    # a 0.3125 meV line on a 0.25 meV grid: the trapezoid error bound is
+    # 2 e^{-2 pi^2 sigma^2/h^2} = 7.68e-3 (Gaussian), 2 e^{-pi Gamma/h}
+    # = 3.94e-2 (Lorentzian)
+    model = _model([], linewidth=0.3125, profile=profile)
+    z = model.zpl_energy
+    bound = "7.68e-03" if profile == "gaussian" else "3.94e-02"
+    with pytest.raises(NumericalError, match=(
+            "grid spacing 0.25 meV is too coarse for the 0.312 meV linewidth:"
+            f" the trapezoid area is off by up to {bound} ")):
+        lineshape(model, make_grid(z - 0.02, z + 0.02, 161))
+    # a fine grid that ends 0.1 meV past the line center truncates it
+    with pytest.raises(NumericalError, match="grid truncates") as err:
+        lineshape(model, make_grid(z - 0.02, z + 0.0001, 2011))
+    assert "coarse" not in str(err.value)
+
+
 def test_too_fine_grid_names_the_finest_spacing():
     model = load_preset("strong_coupling", temperature_k=300.0)
     grid = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
@@ -343,6 +361,69 @@ def _unclipped_density(model, grid):
     return vibronic._render_shift_spectrum(model, grid, g_builder)[1]
 
 
+def _cos_sin_builder(model):
+    """The generating function with a cos and a sin of every mode at every
+    tau, which the phase ramps replaced (``_unclipped_density`` needs a mode
+    or a wing)"""
+    occ = [(m, bose_occupation(m.energy_mev, model.temperature))
+           for m in model.modes]
+
+    def g_builder(tau, *_):
+        re, im = np.zeros_like(tau), np.zeros_like(tau)
+        for m, n in occ:
+            x = m.energy_mev * tau
+            re += m.partial_hr * (2.0 * n + 1.0) * (np.cos(x) - 1.0)
+            im -= m.partial_hr * np.sin(x)
+        return np.exp(re + 1j * im) * vibronic._wing_factor(model, tau)
+
+    return g_builder
+
+
+@st.composite
+def _render_case(draw):
+    """0-3 modes, either profile, 0-500 K, with or without a wing; the full
+    band, or a window within 0.5 eV of the ZPL on either side"""
+    modes = [_mode(draw(st.floats(1.0, 200.0)), draw(st.floats(0.0, 3.0)))
+             for _ in range(draw(st.integers(0, 3)))]
+    model = _model(modes, linewidth=draw(st.floats(0.3, 3.0)),
+                   profile=draw(st.sampled_from(["gaussian", "lorentzian"])),
+                   temperature=draw(st.one_of(st.just(0.0),
+                                              st.floats(0.0, 500.0))),
+                   acoustic_coupling=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                   acoustic_cutoff=draw(st.floats(0.5, 5.0)))
+    if draw(st.booleans()):
+        return model, full_band_grid(model)
+    ends = sorted(draw(st.floats(-0.5, 0.5)) for _ in range(2))
+    ends[1] = max(ends[1], ends[0] + 1e-3)
+    return model, make_grid(model.zpl_energy + ends[0],
+                            model.zpl_energy + ends[1],
+                            draw(st.integers(2, 2001)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_render_case())
+def test_phase_ramp_render_matches_cos_sin_render(case):
+    model, grid = case
+    builder = _cos_sin_builder(model)
+    ref = vibronic._render_shift_spectrum(model, grid, builder)
+    peak = vibronic._render_shift_spectrum(model, full_band_grid(model),
+                                           builder).max()
+    got = lineshape_density(model, grid)
+    assert np.abs(got - ref).max() <= 1e-11 * peak
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(st.just(2 ** 21), st.integers(1, 2 ** 21)),
+       phase=st.one_of(st.sampled_from([1e5, -1e5]), st.floats(-1e5, 1e5)))
+def test_phase_ramp_is_the_direct_exponential(n, phase):
+    # |a n| <= 1e5; each side is within (|a| j + 8) 2^-53 of e^{-i a j}
+    a, j = phase / n, np.arange(n)
+    ramp = vibronic._phase_ramp(a, n)
+    assert ramp.shape == (n,)
+    err = np.abs(ramp - np.exp(-1j * a * j))
+    assert np.all(err <= (2.0 * abs(a) * j + 16.0) * 2.0 ** -53)
+
+
 @pytest.mark.parametrize("case,temp", [
     *[(p, t) for p in ("strong_coupling", "weak_coupling")
       for t in (0.0, 6.0, 300.0)], ("no wing", 300.0), ("no modes", 300.0)])
@@ -370,6 +451,32 @@ def test_cold_full_band_is_the_zero_kelvin_band(preset):
     cold, zero = (full_band_grid(load_preset(preset, temperature_k=t))
                   for t in (6.0, 0.0))
     assert abs(cold.n_points - zero.n_points) <= 0.01 * zero.n_points
+
+
+# the Stokes span the two-sided search gave, before the cold Lorentzian's
+# anti-Stokes side stopped being searched
+COLD_LORENTZIAN_STOKES = {"strong_coupling": 6031.162410756707,
+                          "weak_coupling": 4378.487005747711}
+
+
+@pytest.mark.parametrize("preset", ["strong_coupling", "weak_coupling"])
+def test_cold_lorentzian_band_searches_only_the_stokes_side(preset,
+                                                            monkeypatch):
+    # at 0 K a Lorentzian ZPL is the only anti-Stokes shift: that side is
+    # its 500 FWHM, with no search running t off to overflow
+    model = replace(load_preset(preset, temperature_k=0.0),
+                    zpl_profile="lorentzian")
+    rows, cgf = [], vibronic._mode_cgf
+
+    def counted(s, n, x):
+        rows.append(x.shape[0])
+        return cgf(s, n, x)
+
+    monkeypatch.setattr(vibronic, "_mode_cgf", counted)
+    anti, stokes = vibronic._span_estimate(model)
+    assert anti == 500.0 * model.zpl_linewidth
+    assert stokes == pytest.approx(COLD_LORENTZIAN_STOKES[preset], rel=1e-14)
+    assert rows == [1, 1, 1]        # 3 evaluations of the Stokes side alone
 
 
 def _least_bound(cgf, rate):
