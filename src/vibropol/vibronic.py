@@ -211,12 +211,12 @@ def _wing_factor(model: EmitterModel, tau):
     """(1 + wing) / knorm in the time domain: rho(d) = w_s d/c^2 e^{-d/c}
     (d > 0) transforms to w_s/(1 + i tau c)^2, its Bose-weighted mirror to
     w_s/(1 + c/kT - i tau c)^2; at tau = 0 they are w_s and w_as."""
-    w_s, _, knorm = _acoustic_kernel_weights(model)
+    w_s, w_as, knorm = _acoustic_kernel_weights(model)
     if w_s == 0:
         return 1.0
     c, kt = model.acoustic_cutoff, _kt(model.temperature)
     f = 1.0 + w_s / np.square(1.0 + 1j * c * tau)
-    if kt > 0:
+    if w_as > 1e-300 * w_s:     # else (c/kT)^2 may overflow; |mirror| <= w_as
         f += w_s / np.square(1.0 + c / kt - 1j * c * tau)
     return f / knorm
 
@@ -235,11 +235,18 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     density (or one per row) on the lattice lo + j d of step d = s/k, s the
     grid spacing and k = ceil(8 s / linewidth); the ZPL profile multiplies
     it here.  The lattice holds every shift D = E_ZPL - E of the grid, read
-    off by slicing, and spans [D_min - reach, D_max + reach], or at infinite
-    reach the full band [min(D_min, 0) - anti, max(D_max, 0) + stokes], past
-    which each side holds at most TAIL_WEIGHT (``_span_estimate``), padded
-    to a fast FFT size n.  Its samples are those of the density periodized
-    on P = n d, up to the signal beyond pi/d:
+    off by slicing, and is padded to a fast FFT size n.  At finite reach it
+    spans [D_min - reach, D_max + reach].  At infinite reach the band
+    [-anti, stokes] holds all but TAIL_WEIGHT a side (``_span_estimate``):
+      Gaussian: the lattice starts at D_min, with P = n d >= max(stokes -
+        D_min, D_max + anti, D_max - D_min), so every periodic image of a
+        window sample lies past the band, in a tail of at most TAIL_WEIGHT;
+      Lorentzian: it spans [min(D_min, 0) - anti, max(D_max, 0) + stokes],
+        since its periodized tail (below) falls only as 1/(m P)^2: the
+        shorter period would bring an image of each line within anti, as
+        little as 500 FWHM, of the window's edge.
+    Its samples are those of the density periodized on P, up to the signal
+    beyond pi/d:
       Gaussian (sigma = FWHM/2.3548): at most d e^{-(sigma pi/d)^2/2} /
         (pi sigma)^2 per sample, e^{-(sigma pi/d)^2/2} <= 1.9e-25;
       Lorentzian (FWHM Gamma): at most 2/(pi Gamma) e^{-Gamma pi/(2d)},
@@ -260,7 +267,12 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
         below, top = reach, d_max + reach
     else:
         anti, stokes = _span_estimate(model)
-        below, top = d_min - min(d_min, 0.0) + anti, max(d_max, 0.0) + stokes
+        if model.zpl_profile == "gaussian":
+            below, top = 0.0, d_min + max(stokes - d_min, d_max + anti,
+                                          d_max - d_min)
+        else:
+            below = d_min - min(d_min, 0.0) + anti
+            top = max(d_max, 0.0) + stokes
     m0 = np.ceil(below / d)
     lo = d_min - m0 * d
     span = top - lo

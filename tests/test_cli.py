@@ -398,7 +398,7 @@ def test_overflowing_span_is_named_in_the_lattice_error(tmp_path, capsys):
                  "1e300", "--out", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: internal grid would need")
-    assert "2.02e+152 meV span needs a linewidth beyond the ZPL energy" in err
+    assert "1.01e+152 meV span needs a linewidth beyond the ZPL energy" in err
     assert "widen the linewidth" not in err
     assert len(err.strip().splitlines()) == 1 and not out.exists()
 

@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, eval_genlaguerre, gammaln, ive
 
@@ -320,7 +321,7 @@ def test_too_fine_grid_names_the_finest_spacing():
     model = load_preset("strong_coupling", temperature_k=300.0)
     grid = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
     with pytest.raises(NumericalError, match="finest grid spacing allowed "
-                                             "is 1.5e-06 eV"):
+                                             "is 1.32e-06 eV"):
         lineshape_density(model, grid)
     # no spacing helps when linewidth/8 is finer than that
     with pytest.raises(NumericalError, match="widen the linewidth"):
@@ -340,7 +341,7 @@ def test_too_fine_grid_names_the_spacing_it_needs():
                       _map_window(model))
     fine = make_grid(model.zpl_energy - 0.002, model.zpl_energy, 2001)
     with pytest.raises(NumericalError, match=r"widen the linewidth to \S+ "
-                       "meV and the grid spacing to 1.5e-06 eV"):
+                       "meV and the grid spacing to 1.32e-06 eV"):
         lineshape_density(model, fine)
 
 
@@ -410,6 +411,100 @@ def test_phase_ramp_render_matches_cos_sin_render(case):
                                            builder).max()
     got = lineshape_density(model, grid)
     assert np.abs(got - ref).max() <= 1e-11 * peak
+
+
+# windows on the far Stokes flank of the band, where the period's D_max + anti
+# term binds: a period of stokes - D_min would fold the band onto them
+FLANK_CASES = [
+    (_model([_mode(20.0, 2.0)], acoustic_coupling=0.5, acoustic_cutoff=2.0),
+     make_grid(1.848 - 0.40, 1.848 - 0.25, 601)),
+    (_model([_mode(10.0, 3.0)], temperature=300.0, acoustic_coupling=0.5,
+            acoustic_cutoff=2.0), make_grid(1.848 - 0.35, 1.848 - 0.20, 601))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_render_case().filter(lambda c: c[0].zpl_profile == "gaussian"))
+@example(case=FLANK_CASES[0])
+@example(case=FLANK_CASES[1])
+def test_gaussian_period_leaves_the_window_free_of_images(case):
+    # the period spans the band past the window's near edge, not the window
+    # plus the band: a reference with 4x the band's span (and the same
+    # lattice start) holds the same samples up to the tails beyond the band
+    model, grid = case
+    span, limit = vibronic._span_estimate, vibronic.MAX_GRID_POINTS
+    vibronic.MAX_GRID_POINTS = 2 ** 19      # so that the reference fits
+    try:
+        got = lineshape_density(model, grid)
+    except NumericalError:                  # a window too fine for that
+        reject()
+    finally:
+        vibronic.MAX_GRID_POINTS = limit
+    peak = lineshape_density(model, full_band_grid(model)).max()
+    vibronic._span_estimate = lambda m: tuple(4.0 * x for x in span(m))
+    try:
+        ref = lineshape_density(model, grid)
+    finally:
+        vibronic._span_estimate = span
+    assert np.abs(got - ref).max() <= 1e-12 * peak
+
+
+def _lattice(model, grid):
+    """(n, d) of the renderer's lattice for grid"""
+    seen = []
+
+    def g_builder(tau, *_):
+        seen.append(tau)
+        return np.ones(tau.size, dtype=complex)
+
+    vibronic._render_shift_spectrum(model, grid, g_builder)
+    n = 2 * (seen[0].size - 1)
+    return n, 2.0 * np.pi / seen[0][1] / n
+
+
+# the Lorentzian full-band lattice, which spans the grid plus the band a side
+LORENTZIAN_FULL_BAND_N = {
+    ("strong_coupling", 0.0): 115200, ("strong_coupling", 6.0): 115200,
+    ("strong_coupling", 300.0): 122880, ("weak_coupling", 0.0): 81920,
+    ("weak_coupling", 6.0): 81920, ("weak_coupling", 300.0): 92160}
+
+
+@pytest.mark.parametrize("temp", [0.0, 6.0, 300.0])
+@pytest.mark.parametrize("preset", ["strong_coupling", "weak_coupling"])
+def test_full_band_period_is_the_aliasing_bound(preset, temp):
+    # Gaussian: P = n d from the least image-free period P_min up to the
+    # largest step between FFT sizes (9/8) plus the rounding of n; the
+    # Lorentzian's tail keeps the longer span of the band and the window
+    model = load_preset(preset, temperature_k=temp)
+    assert model.zpl_profile == "gaussian"
+    grid = full_band_grid(model)
+    anti, stokes = vibronic._span_estimate(model)
+    d_min = (model.zpl_energy - grid.max_energy) * 1e3
+    d_max = (model.zpl_energy - grid.min_energy) * 1e3
+    p_min = max(stokes - d_min, d_max + anti, d_max - d_min)
+    n, d = _lattice(model, grid)
+    assert p_min <= n * d <= 1.125 * p_min + 2.0 * d
+    lorentz = replace(model, zpl_profile="lorentzian")
+    n, _ = _lattice(lorentz, full_band_grid(lorentz))
+    assert n == LORENTZIAN_FULL_BAND_N[preset, temp]
+
+
+def test_vanishing_temperature_leaves_the_mirror_wing_quiet(tmp_path):
+    # (c/kT)^2 overflowed below about 1e-153 K and printed a RuntimeWarning
+    # to stderr; the mirror wing there weighs at most w_as <= 1e-300 w_s
+    model = load_preset("strong_coupling")
+    tau = np.linspace(0.0, 100.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for temp in [0.0, 5e-324, *np.logspace(-200, -100, 401)]:
+            f = vibronic._wing_factor(replace(model, temperature=temp), tau)
+            assert np.all(np.isfinite(f))
+    src = os.path.dirname(os.path.dirname(vibronic.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "vibropol.cli", "spectrum", "--preset",
+         "strong_coupling", "--temp", "1e-200", "--out",
+         str(tmp_path / "s.csv"), "--quiet"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
