@@ -41,6 +41,24 @@ def wrap_orientation_scalar(angle_deg: float) -> float:
     return float((angle_deg + 90.0) % 180.0 - 90.0)
 
 
+def _stokes_psi_dop_chi(s0, s1, s2, s3=0.0) -> tuple:
+    """(psi, DOP, chi) of Stokes vectors, elementwise: psi on the canonical
+    branch, NaN where s0 <= 0 or |s1, s2| < 1e-12 max(|s0|, 2) (no defined
+    axis); DOP = min(|s| / s0, 1), 0 where s0 <= 0; chi 0 where |s| = 0."""
+    s0, s1, s2, s3 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (s0, s1, s2, s3)))
+    lin = np.hypot(s1, s2)
+    mag = np.hypot(lin, s3)
+    axis = (s0 > 0) & (lin >= 1e-12 * np.maximum(np.abs(s0), 2.0))
+    psi = np.where(axis, wrap_orientation(
+        0.5 * np.rad2deg(np.arctan2(s2, s1))), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dop = np.where(s0 > 0, np.minimum(mag / s0, 1.0), 0.0)
+        chi = np.where(mag > 0, 0.5 * np.rad2deg(np.arcsin(
+            np.clip(s3 / mag, -1.0, 1.0))), 0.0)
+    return psi, dop, chi
+
+
 def _require_finite(obj, names) -> None:
     for name in names:         # stored as floats: an int could overflow
         v = getattr(obj, name)

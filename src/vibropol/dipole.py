@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (MAX_LINES, EmitterModel, EnergyGrid, NumericalError,
-                   OrientationCurve, ValidationError, wrap_orientation,
+                   OrientationCurve, ValidationError, _stokes_psi_dop_chi,
                    wrap_orientation_scalar)
 from .vibronic import (_acoustic_kernel_weights, _phase_ramp, _wing_factor,
                        _render_shift_spectrum, acoustic_wing_density,
@@ -371,9 +371,10 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     """Orientation angle and DOLP across the vibronic manifold.
 
     Channel Stokes vectors (module docstring) are summed at each photon
-    energy and converted to (psi, DOLP); points where the channel s0 is
-    below the low-signal threshold, or below the transforms' rounding floor
-    1e-12/FWHM, are invalid, and DOLP is capped at 1, the bound of every
+    energy and converted to (psi, DOLP) (``core._stokes_psi_dop_chi``);
+    points where the channel s0 is below the low-signal threshold, or
+    below the transforms' rounding floor 1e-12/FWHM, or that have no
+    defined axis, are invalid, and DOLP is capped at 1, the bound of every
     channel.  The curve's ``weight`` is ``lineshape_density``.  One
     renderer call gives (s0, s1, s2), the sticks spread within the bound
     of ``_stick_signal``, and:
@@ -402,14 +403,11 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     """
     weight = lineshape_density(model, grid)
     s0, s1, s2 = _stokes_sums(apply_strain_bias(model), grid, weight)
-    valid = s0 > max(LOW_SIGNAL_FRACTION * s0.max(),
-                     1e-12 / model.zpl_linewidth)
-    psi = np.full(s0.size, np.nan)
-    dolp = np.zeros(s0.size)
-    psi[valid] = wrap_orientation(
-        0.5 * np.rad2deg(np.arctan2(s2[valid], s1[valid])))
-    dolp[valid] = np.minimum(np.hypot(s1[valid], s2[valid]) / s0[valid], 1.0)
-    return OrientationCurve(grid, psi, dolp, weight, valid)
+    psi, dolp, _ = _stokes_psi_dop_chi(s0, s1, s2)
+    valid = (s0 > max(LOW_SIGNAL_FRACTION * s0.max(),
+                      1e-12 / model.zpl_linewidth)) & ~np.isnan(psi)
+    return OrientationCurve(grid, np.where(valid, psi, np.nan),
+                            np.where(valid, dolp, 0.0), weight, valid)
 
 
 def opsb_offset(model: EmitterModel) -> float:

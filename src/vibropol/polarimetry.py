@@ -1,11 +1,18 @@
-"""Forward and inverse polarization optics.
+"""Forward and inverse polarization optics on one Stokes path.
 
-Conventions: the Malus parametrization follows
-I(theta) = i_max cos^2(theta - theta0) + i_min, so the measured peak is
-i_max + i_min and the floor i_min; the degree of linear polarization is
-(peak - floor)/(peak + floor) = i_max / (i_max + 2 i_min).  The RQWP
-trace assumes an ideal quarter-wave plate at fast-axis angle theta in
-front of a fixed horizontal polarizer.
+Each instrument is one response matrix (``_response``): row t maps the
+Stokes vector (s0, s1, s2, s3) to the intensity behind an ideal analyzer
+at angle t, or behind an ideal quarter-wave plate with its fast axis at t
+in front of a fixed horizontal polarizer (RQWP; Schaefer et al., Am. J.
+Phys. 75, 163 (2007)).  Maps are rendered through it, and traces are
+inverted by one least-squares solve against it, which also gives their rms
+residual.  Stokes vectors become (psi, DOP, chi) through
+``core._stokes_psi_dop_chi``.
+
+The Malus parametrization I(theta) = i_max cos^2(theta - theta0) + i_min
+is the analyzer row with i_max = |s1, s2|, i_min = (s0 - i_max)/2 and
+theta0 = psi; its degree of linear polarization is (peak - floor)/(peak +
+floor) = i_max / (i_max + 2 i_min), uncapped.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 from .config import PRESET_NAMES, load_preset
 from .core import (EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, PolarizationMap, ValidationError,
-                   _energy_bins, make_grid, slice_map, wrap_orientation,
-                   wrap_orientation_scalar)
+                   _energy_bins, _stokes_psi_dop_chi, make_grid, slice_map,
+                   wrap_orientation, wrap_orientation_scalar)
 from .dipole import opsb_offset, orientation_vs_energy
 
 # largest map maximum numpy's Poisson sampler accepts (its limit is ~9.2e18)
@@ -98,63 +105,91 @@ class MalusFit:
             raise ValidationError("dolp inconsistent with i_max/i_min")
 
 
-def malus_intensity(theta_deg, fit: MalusFit):
-    """I(theta) = i_max cos^2(theta - theta0) + i_min."""
-    th = np.deg2rad(np.asarray(theta_deg, dtype=float) - fit.theta0)
-    return fit.i_max * np.cos(th) ** 2 + fit.i_min
+def _response(mode: str, angles_deg) -> np.ndarray:
+    """(angle x 4) matrix taking (s0, s1, s2, s3) to the transmitted
+    intensity: rows 1/2 (1, cos 2t, sin 2t, 0) behind an analyzer at t,
+    1/2 (1, 1/2 + 1/2 cos 4t, 1/2 sin 4t, -sin 2t) behind the RQWP at t."""
+    t = np.deg2rad(np.asarray(angles_deg, dtype=float))
+    if mode == "analyzer":
+        rows = (np.ones_like(t), np.cos(2 * t), np.sin(2 * t),
+                np.zeros_like(t))
+    else:
+        rows = (np.ones_like(t), 0.5 + 0.5 * np.cos(4 * t),
+                0.5 * np.sin(4 * t), -np.sin(2 * t))
+    return 0.5 * np.stack(rows, axis=-1)
 
 
-def _malus_design(angles_deg) -> np.ndarray:
-    """Basis {1, cos2t, sin2t} at the angles of a usable analyzer trace."""
+def _checked_response(mode: str, angles_deg) -> np.ndarray:
+    """``_response`` of an angle set that determines the instrument's
+    Stokes components: at least 4 analyzer angles spanning 135 deg, not
+    all equal mod 90 deg; at least 8 uniform RQWP angles on whole
+    rotations."""
     th = np.asarray(angles_deg, dtype=float)
     if th.ndim != 1 or not np.all(np.isfinite(th)):
         raise ValidationError("angles must be finite and 1-D")
-    if th.size < 4:
-        raise ValidationError("need at least 4 samples")
-    if np.ptp(th) < 135.0 - 1e-9:
-        raise ValidationError("samples must span at least 135 deg of rotation")
-    t2 = np.deg2rad(2.0 * th)
-    design = np.column_stack([np.ones_like(t2), np.cos(t2), np.sin(t2)])
-    # rank check: all angles equal mod 90 deg makes cos/sin columns constant
-    _, sv, _ = np.linalg.svd(design, full_matrices=False)
-    if sv[-1] < 1e-9 * sv[0]:
-        raise ValidationError("angle set is rank-deficient (degenerate mod 90)")
-    return design
+    response = _response(mode, th)
+    if mode == "analyzer":
+        if th.size < 4:
+            raise ValidationError("need at least 4 samples")
+        if np.ptp(th) < 135.0 - 1e-9:
+            raise ValidationError(
+                "samples must span at least 135 deg of rotation")
+        # rank check: all angles equal mod 90 deg makes cos/sin columns
+        # constant
+        sv = np.linalg.svd(response[:, :3], compute_uv=False)
+        if sv[-1] < 1e-9 * sv[0]:
+            raise ValidationError(
+                "angle set is rank-deficient (degenerate mod 90)")
+        return response
+    if th.size < 8:
+        raise ValidationError("need at least 8 samples")
+    steps = np.diff(th)
+    if np.ptp(steps) > 1e-9 * abs(steps[0]) + 1e-12:
+        raise ValidationError("angles must be uniformly spaced")
+    total = th[-1] - th[0] + steps[0]
+    k = total / 360.0
+    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+        raise ValidationError(
+            f"samples must cover whole rotations (got {total:.6g} deg)")
+    return response
+
+
+def _invert(response, traces) -> tuple:
+    """Least-squares Stokes vectors (4 x trace) of the columns of traces
+    (angle x trace, or one trace), and their rms residuals."""
+    if not np.all(np.isfinite(traces)) or np.any(traces < 0):
+        raise ValidationError("intensities must be finite and non-negative")
+    s, *_ = np.linalg.lstsq(response, traces, rcond=None)
+    return s, np.sqrt(np.mean((traces - response @ s) ** 2, axis=0))
+
+
+def _invert_trace(mode: str, angles_deg, intensities) -> tuple:
+    """``_invert`` of one trace, after checking its angle set."""
+    response = _checked_response(mode, angles_deg)
+    inten = np.asarray(intensities, dtype=float)
+    if inten.shape != response.shape[:1]:
+        raise ValidationError("angles and intensities must be equal 1-D arrays")
+    return _invert(response, inten)
+
+
+def malus_intensity(theta_deg, fit: MalusFit):
+    """I(theta) = i_max cos^2(theta - theta0) + i_min."""
+    two = np.deg2rad(2.0 * (0.0 if np.isnan(fit.theta0) else fit.theta0))
+    s = (fit.i_max + 2.0 * fit.i_min, fit.i_max * np.cos(two),
+         fit.i_max * np.sin(two), 0.0)
+    return _response("analyzer", theta_deg) @ s
 
 
 def fit_malus(angles_deg, intensities) -> MalusFit:
-    """Closed-form linear least squares on the basis {1, cos2t, sin2t}."""
-    design = _malus_design(angles_deg)
-    fit = _malus_fits(design, _trace(intensities, design.shape[0])[:, None])
-    return MalusFit(*(float(v[0]) for v in fit[:5]), bool(fit[5][0]))
-
-
-def _trace(intensities, n: int) -> np.ndarray:
-    inten = np.asarray(intensities, dtype=float)
-    if inten.shape != (n,):
-        raise ValidationError("angles and intensities must be equal 1-D arrays")
-    return inten
-
-
-def _malus_fits(design, inten) -> tuple:
-    """``MalusFit`` fields, as arrays, of the columns of inten (angle x
-    trace) in one solve; theta0 is NaN where the modulation vanishes."""
-    if not np.all(np.isfinite(inten)) or np.any(inten < 0):
-        raise ValidationError("intensities must be finite and non-negative")
-    coef, *_ = np.linalg.lstsq(design, inten, rcond=None)
-    a, b, c = coef
-    r = np.hypot(b, c)
-    rms = np.sqrt(np.mean((inten - design @ coef) ** 2, axis=0))
-    unphysical = a - r < -1e-9 * np.maximum(a, 1e-300)
-    flat = (r < 1e-12 * np.maximum(np.abs(a), 1.0)) | (a <= 0)
-    i_max = np.where(flat, 0.0, 2.0 * r)
-    i_min = np.where(flat, a, a - r)
-    peak, floor = i_max + i_min, i_min
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dolp = np.where(flat, 0.0, (peak - floor) / (peak + floor))
-    theta0 = np.where(flat, np.nan,
-                      wrap_orientation(0.5 * np.rad2deg(np.arctan2(c, b))))
-    return theta0, i_max, i_min, dolp, rms, unphysical
+    """Least-squares Malus fit: the analyzer Stokes vector of the trace;
+    theta0 is NaN, and i_max 0, where it has no defined axis."""
+    (s0, s1, s2, _), rms = _invert_trace("analyzer", angles_deg, intensities)
+    theta0 = float(_stokes_psi_dop_chi(s0, s1, s2)[0])
+    i_max = 0.0 if np.isnan(theta0) else float(np.hypot(s1, s2))
+    i_min = float(0.5 * (s0 - i_max))
+    dolp = i_max / (i_max + 2.0 * i_min) if i_max > 0 else 0.0
+    return MalusFit(theta0, i_max, i_min, dolp, float(rms),
+                    i_min < -1e-9 * max(0.5 * s0, 1e-300))
 
 
 def ellipse_to_stokes(e: PolarizationEllipse, s0: float) -> StokesVector:
@@ -169,60 +204,23 @@ def ellipse_to_stokes(e: PolarizationEllipse, s0: float) -> StokesVector:
 
 
 def stokes_to_ellipse(s: StokesVector) -> PolarizationEllipse:
+    """(DOP, psi, chi) of the state; psi is NaN where it has no linear
+    part (``core._stokes_psi_dop_chi``)."""
     if s.s0 <= 0:
         raise ValidationError("s0 must be > 0")
-    mag = s.polarized_magnitude
-    dop = min(mag / s.s0, 1.0)
-    if mag == 0.0:
-        return PolarizationEllipse(0.0, np.nan, 0.0)
-    psi = 0.5 * np.rad2deg(np.arctan2(s.s2, s.s1))
-    chi = 0.5 * np.rad2deg(np.arcsin(np.clip(s.s3 / mag, -1.0, 1.0)))
-    return PolarizationEllipse(dop, psi, chi)
+    psi, dop, chi = _stokes_psi_dop_chi(s.s0, s.s1, s.s2, s.s3)
+    return PolarizationEllipse(float(dop), float(psi), float(chi))
 
 
 def rqwp_intensity(s: StokesVector, qwp_angle_deg):
-    """Transmission of QWP (fast axis at theta) + horizontal polarizer.
-
-    I(theta) = 1/2 (A + B sin 2t + C cos 4t + D sin 4t) with
-    A = s0 + s1/2, B = -s3, C = s1/2, D = s2/2.
-    """
-    t = np.deg2rad(np.asarray(qwp_angle_deg, dtype=float))
-    a = s.s0 + 0.5 * s.s1
-    return 0.5 * (a - s.s3 * np.sin(2 * t) + 0.5 * s.s1 * np.cos(4 * t)
-                  + 0.5 * s.s2 * np.sin(4 * t))
-
-
-def _rqwp_basis(qwp_angles_deg) -> np.ndarray:
-    """Rows (2, 4 sin 2t, 4 cos 4t, 4 sin 4t) / n at n RQWP angles t."""
-    th = np.asarray(qwp_angles_deg, dtype=float)
-    if th.ndim != 1 or not np.all(np.isfinite(th)):
-        raise ValidationError("angles must be finite and 1-D")
-    if th.size < 8:
-        raise ValidationError("need at least 8 samples")
-    steps = np.diff(th)
-    if np.ptp(steps) > 1e-9 * abs(steps[0]) + 1e-12:
-        raise ValidationError("angles must be uniformly spaced")
-    total = th[-1] - th[0] + steps[0]
-    k = total / 360.0
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise ValidationError(
-            f"samples must cover whole rotations (got {total:.6g} deg)")
-    t = np.deg2rad(th)
-    return np.array([np.full_like(t, 2.0), 4.0 * np.sin(2 * t),
-                     4.0 * np.cos(4 * t), 4.0 * np.sin(4 * t)]) / t.size
+    """Transmission of QWP (fast axis at theta) + horizontal polarizer."""
+    return _response("rqwp", qwp_angle_deg) @ (s.s0, s.s1, s.s2, s.s3)
 
 
 def extract_stokes_rqwp(qwp_angles_deg, intensity) -> StokesVector:
-    """Fourier inversion of an RQWP trace on uniform full rotations."""
-    basis = _rqwp_basis(qwp_angles_deg)
-    inten = _trace(intensity, basis.shape[1])[None, :]
-    return StokesVector(*_rqwp_stokes(basis, inten)[:, 0])
-
-
-def _rqwp_stokes(basis, inten) -> np.ndarray:
-    """(s0, s1, s2, s3) x trace of the traces in the rows of inten."""
-    a, b, c, d = (inten @ basis.T).T
-    return np.array([a - c, 2.0 * c, 2.0 * d, -b])
+    """Least-squares Stokes vector of an RQWP trace on uniform full
+    rotations."""
+    return StokesVector(*_invert_trace("rqwp", qwp_angles_deg, intensity)[0])
 
 
 def default_map_grid(model: EmitterModel) -> EnergyGrid:
@@ -276,15 +274,8 @@ def _render_map(curve: OrientationCurve, angles_deg, mode: str,
                 seed: int) -> PolarizationMap:
     """``simulate_polarization_map`` of a computed forward curve."""
     angles = np.asarray(angles_deg, dtype=float)
-    s0, s1, s2 = _forward_stokes(curve)
-    t = np.deg2rad(angles)[None, :]
-    if mode == "analyzer":
-        inten = 0.5 * (s0[:, None] + s1[:, None] * np.cos(2 * t)
-                       + s2[:, None] * np.sin(2 * t))
-    else:
-        a = (s0 + 0.5 * s1)[:, None]
-        inten = 0.5 * (a + 0.5 * s1[:, None] * np.cos(4 * t)
-                       + 0.5 * s2[:, None] * np.sin(4 * t))
+    inten = np.stack(_forward_stokes(curve), axis=-1) @ _response(
+        mode, angles)[:, :3].T
     peak = inten.max()
     if peak <= 0:
         raise NumericalError("simulated map has no intensity")
@@ -299,15 +290,15 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
                 bin_width_mev: float = 4.0) -> OrientationCurve:
     """Per-bin polarization analysis of an energy-resolved map.
 
-    Slices the map into energy bins and fits all their angular profiles
-    at once (Malus for analyzer maps, RQWP Fourier inversion otherwise);
-    a bin with MIN_BIN_COUNTS counts or fewer, or no defined angle (no
-    modulation, or no RQWP intensity), is invalid.
+    Slices the map into energy bins and inverts all their angular
+    profiles in one least-squares solve against the mode's response; a
+    bin with MIN_BIN_COUNTS counts or fewer, or no defined angle (no
+    linear polarization, or no intensity), is invalid.
     """
     if mode not in ("analyzer", "rqwp"):
         raise ValidationError(f"unknown map mode {mode!r}")
     # the angle set is checked once, before any bin
-    basis = (_malus_design if mode == "analyzer" else _rqwp_basis)(pmap.angles)
+    response = _checked_response(mode, pmap.angles)
     slices = [s for s in slice_map(pmap, bin_width_mev) if not s.partial]
     if len(slices) < 2:
         raise ValidationError("map yields fewer than 2 full bins")
@@ -315,18 +306,8 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
     grid = EnergyGrid(centers[0], centers[-1], centers.size)
     profiles = np.array([s.profile for s in slices])     # bin x angle
     weight = profiles.sum(axis=1)
-    if mode == "analyzer":
-        psi, _, _, dolp, rms, _ = _malus_fits(basis, profiles.T)
-        chi = np.zeros_like(psi)
-    else:
-        s0, s1, s2, s3 = _rqwp_stokes(basis, profiles)
-        mag = np.sqrt(s1 ** 2 + s2 ** 2 + s3 ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi = np.where((s0 > 0) & (mag > 0), wrap_orientation(
-                0.5 * np.rad2deg(np.arctan2(s2, s1))), np.nan)
-            dolp = np.minimum(mag / s0, 1.0)
-            chi = 0.5 * np.rad2deg(np.arcsin(np.clip(s3 / mag, -1.0, 1.0)))
-        rms = np.full(psi.size, np.nan)
+    stokes, rms = _invert(response, profiles.T)
+    psi, dolp, chi = _stokes_psi_dop_chi(*stokes)
     valid = (weight > MIN_BIN_COUNTS) & ~np.isnan(psi)
     return OrientationCurve(grid, np.where(valid, psi, np.nan),
                             np.where(valid, dolp, 0.0), weight, valid,
@@ -339,15 +320,10 @@ def binned_forward_psi(curve: OrientationCurve,
     """Orientation (deg) of the summed forward Stokes vector in each full
     bin, binned as ``analyze_map`` bins a map of ``curve``; NaN where a
     bin carries no polarization."""
-    _, s1, s2 = _forward_stokes(curve)
-    out = []
-    for sel, _, _, partial in _energy_bins(curve.grid, bin_width_mev):
-        if partial:
-            continue
-        t1, t2 = s1[sel].sum(), s2[sel].sum()
-        out.append(0.5 * np.degrees(np.arctan2(t2, t1))
-                   if np.hypot(t1, t2) > 0 else np.nan)
-    return np.array(out)
+    sums = [[s[sel].sum() for s in _forward_stokes(curve)]
+            for sel, _, _, partial in _energy_bins(curve.grid, bin_width_mev)
+            if not partial]
+    return _stokes_psi_dop_chi(*np.reshape(sums, (-1, 3)).T)[0]
 
 
 def roundtrip_checks() -> list:

@@ -263,6 +263,8 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     d_max = (model.zpl_energy - grid.min_energy) * 1e3
     k = np.ceil(8.0 * s / model.zpl_linewidth)
     d = s / k
+    if not d > 0:                   # FWHM/8 underflowed: k = inf, d = 0
+        raise NumericalError("renderer window is not finite")
     if np.isfinite(reach):
         below, top = reach, d_max + reach
     else:
@@ -277,7 +279,7 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
     lo = d_min - m0 * d
     span = top - lo
     need = np.ceil(span / d) + 1.0
-    if not np.all(np.isfinite([k, lo, span, need])):
+    if not np.all(np.isfinite([lo, span, need])):
         raise NumericalError("renderer window is not finite")
     limit = min(limit, MAX_GRID_POINTS)
     if not need <= limit:

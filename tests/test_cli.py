@@ -1,7 +1,10 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -674,3 +677,21 @@ def test_fuzzed_flags_and_config_exit_cleanly(tmp_path, case, preset):
             code = exc.code
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "lorentzian"])
+def test_subnormal_linewidth_prints_only_the_error_line(tmp_path, profile):
+    # the lattice step underflowed to 0 and was divided by, printing
+    # RuntimeWarnings before the error line (pytest captures warnings, so
+    # this runs the CLI in its own interpreter)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 5e-324\n"
+                   f"zpl_profile = {profile}\nmode1 = 160, 1, 0.2, 0.1, 10\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "vibropol.cli", "spectrum", "--grid",
+         "1.80:1.86:61", "--config", str(cfg), "--out",
+         str(tmp_path / "s.csv"), "--quiet"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 3
+    assert run.stderr == "error: numerical: renderer window is not finite\n"

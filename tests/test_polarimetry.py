@@ -11,7 +11,7 @@ from vibropol import (MalusFit, PolarizationEllipse, StokesVector,
                       load_preset, make_grid, malus_intensity,
                       rqwp_intensity, simulate_polarization_map,
                       stokes_to_ellipse)
-from vibropol.core import PolarizationMap
+from vibropol.core import OrientationCurve, PolarizationMap, slice_map
 
 
 # ------------------------------------------------------------- malus law
@@ -285,3 +285,74 @@ def test_roundtrip_computes_each_forward_curve_once(monkeypatch):
     monkeypatch.setattr(polarimetry, "orientation_vs_energy", counted)
     rows = polarimetry.roundtrip_checks()
     assert len(calls) == 7 and all(ok for *_, ok in rows)
+
+
+# ------------------------------------------------------- one Stokes path
+
+def test_analyzer_map_dolp_is_capped_where_the_fit_floor_is_unphysical():
+    # strong preset at 6 K, Poisson seed 7: the lowest bin's Malus fit has
+    # i_min < 0, and the map's DOLP read its uncapped 1.338 there
+    model = load_preset("strong_coupling", temperature_k=6.0)
+    angles = polarimetry.default_map_angles("analyzer")
+    pmap = simulate_polarization_map(
+        model, polarimetry.default_map_grid(model), angles, noise="poisson",
+        seed=7)
+    curve = analyze_map(pmap)
+    assert np.all(curve.dolp <= 1.0) and curve.dolp[0] == 1.0
+    fit = fit_malus(angles, slice_map(pmap, 4.0)[0].profile)
+    assert fit.unphysical_floor and fit.dolp > 1.3
+
+
+def test_circular_state_has_no_orientation():
+    # s1 = s2 = 0: the RQWP inversion leaves rounding residue in s1, s2,
+    # whose atan2 was read as psi = 63.43 deg in every bin of the map
+    state = StokesVector(1.0, 0.0, 0.0, 0.8)
+    e = stokes_to_ellipse(state)
+    assert np.isnan(e.psi) and (e.dop, e.chi) == (0.8, 45.0)
+    angles = polarimetry.default_map_angles("rqwp")
+    trace = 1e3 * rqwp_intensity(state, angles)
+    assert np.isnan(stokes_to_ellipse(extract_stokes_rqwp(angles, trace)).psi)
+    pmap = PolarizationMap(make_grid(1.80, 1.90, 101), angles,
+                           np.tile(trace, (101, 1)))
+    curve = analyze_map(pmap, mode="rqwp")
+    assert not np.any(curve.valid) and np.all(np.isnan(curve.psi))
+
+
+@pytest.mark.parametrize("mode", ["analyzer", "rqwp"])
+def test_map_bins_are_the_single_trace_analyses(mode):
+    # analyze_map inverts every bin at once; each bin's (psi, DOLP) is the
+    # single-trace fit's, DOLP capped at 1, and both modes fill the rms
+    model = load_preset("weak_coupling", temperature_k=6.0)
+    angles = polarimetry.default_map_angles(mode)
+    pmap = simulate_polarization_map(model, _zpl_grid(model, n=121), angles,
+                                     mode=mode, noise="poisson", seed=3)
+    curve = analyze_map(pmap, mode=mode)
+    assert np.any(curve.valid)
+    bins = [s for s in slice_map(pmap, 4.0) if not s.partial]
+    for i in np.flatnonzero(curve.valid):
+        if mode == "analyzer":
+            fit = fit_malus(angles, bins[i].profile)
+            psi, dolp, rms = fit.theta0, min(fit.dolp, 1.0), fit.rms_residual
+        else:
+            s = extract_stokes_rqwp(angles, bins[i].profile)
+            e = stokes_to_ellipse(s)
+            psi, dolp = e.psi, e.dop
+            rms = np.sqrt(np.mean((bins[i].profile
+                                   - rqwp_intensity(s, angles)) ** 2))
+        assert abs(curve.psi[i] - psi) < 1e-9
+        assert abs(curve.dolp[i] - dolp) < 1e-12
+        assert 0.0 < curve.rms_residual[i] == pytest.approx(rms, rel=1e-9)
+
+
+def test_binned_forward_psi_is_on_the_canonical_branch():
+    # psi = 90 deg gives s2 = +1e-16 s1: its atan2 read +90, off [-90, 90)
+    grid = make_grid(1.80, 1.82, 21)
+    curve = OrientationCurve(grid, np.full(21, 90.0), np.full(21, 0.5),
+                             np.ones(21), np.ones(21, dtype=bool))
+    assert np.all(polarimetry.binned_forward_psi(curve) == -90.0)
+
+
+def test_malus_intensity_of_an_unpolarized_fit_is_its_floor():
+    fit = fit_malus(np.arange(8) * 22.5, np.full(8, 7.0))
+    assert np.allclose(malus_intensity(np.arange(4) * 45.0, fit), 7.0,
+                       rtol=1e-12)

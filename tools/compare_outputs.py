@@ -9,9 +9,10 @@ its own scratch directory, with the same relative file names, so the
 
 - ``spectrum`` on both presets at 0, 6, 50, 100, 200 and 300 K, on the
   default full-band grid;
-- ``simulate-map`` (analyzer) on both presets at 6 and 300 K, with noise
-  ``none`` and ``poisson`` (seed 7), each followed by ``analyze-map``;
-- ``g2`` (seed 7).
+- ``simulate-map`` in both modes (analyzer and RQWP) on both presets at 6
+  and 300 K, with noise ``none`` and ``poisson`` (seed 7), each followed by
+  ``analyze-map`` in its mode;
+- ``g2`` (seed 7) and the ``roundtrip`` report.
 
 One line per file: ``identical``, or ``differs`` with the number of data
 rows that differ out of A's, and the largest deviation in a numeric column
@@ -35,6 +36,7 @@ import numpy as np
 PRESETS = ("strong_coupling", "weak_coupling")
 SPECTRUM_TEMPS = (0, 6, 50, 100, 200, 300)
 MAP_TEMPS = (6, 300)
+MAP_MODES = ("analyzer", "rqwp")
 
 # runs in the tree's interpreter: argv[1] is the JSON list of CLI calls
 CHILD = """
@@ -53,16 +55,19 @@ def commands() -> list:
     out = [["spectrum", "--preset", p, "--temp", str(t),
             "--out", f"spectrum-{p}-{t}K.csv", "--quiet"]
            for p in PRESETS for t in SPECTRUM_TEMPS]
-    for p in PRESETS:
-        for t in MAP_TEMPS:
-            for noise in ("none", "poisson"):
-                name = f"{p}-{t}K-{noise}"
-                out += [["simulate-map", "--preset", p, "--temp", str(t),
-                         "--noise", noise, "--seed", "7",
-                         "--out", f"map-{name}.csv", "--quiet"],
-                        ["analyze-map", "--in", f"map-{name}.csv",
-                         "--out", f"report-{name}.csv", "--quiet"]]
-    return out + [["g2", "--seed", "7", "--out", "g2.csv", "--quiet"]]
+    for mode in MAP_MODES:
+        for p in PRESETS:
+            for t in MAP_TEMPS:
+                for noise in ("none", "poisson"):
+                    name = f"{mode}-{p}-{t}K-{noise}"
+                    out += [["simulate-map", "--preset", p, "--temp", str(t),
+                             "--mode", mode, "--noise", noise, "--seed", "7",
+                             "--out", f"map-{name}.csv", "--quiet"],
+                            ["analyze-map", "--in", f"map-{name}.csv",
+                             "--mode", mode, "--out", f"report-{name}.csv",
+                             "--quiet"]]
+    return out + [["g2", "--seed", "7", "--out", "g2.csv", "--quiet"],
+                  ["roundtrip", "--out", "roundtrip.csv", "--quiet"]]
 
 
 def package_root(src: str) -> Path:
