@@ -2,9 +2,12 @@
 
 Energies are stored in eV; phonon mode energies enter in meV and are
 converted at the boundary.  All angles are degrees at the interfaces and
-radians internally.  Orientation angles live on the canonical branch
-[-90, 90) deg (a dipole is an axis, period 180 deg); ellipticity on
-[-45, 45] deg.
+radians internally.  The model's directions (the equilibrium dipole, each
+mode's dipole gradient, the acoustic gradient) are vector angles, period
+360 deg, kept as given: the sign of a gradient relative to the dipole is
+physical, since the displacement takes both signs.  Axes (an orientation
+psi, a rotation) live on the canonical branch [-90, 90) deg (period 180
+deg); ellipticity on [-45, 45] deg.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class PhononMode:
     partial_hr        partial Huang-Rhys factor S_k (>= 0)
     partial_dq        partial displacement, amu^1/2 A (>= 0)
     grad_magnitude    relative dipole-gradient strength g_k (>= 0)
-    grad_direction    gradient axis angle, deg, canonical branch
+    grad_direction    gradient vector angle, deg (period 360)
     """
 
     energy_mev: float
@@ -151,21 +154,21 @@ class PhononMode:
             raise ValidationError("mode energy must be > 0 meV")
         if self.partial_hr < 0 or self.partial_dq < 0 or self.grad_magnitude < 0:
             raise ValidationError("mode parameters must be non-negative")
-        object.__setattr__(
-            self, "grad_direction", wrap_orientation_scalar(self.grad_direction))
 
 
 @dataclass(frozen=True)
 class EmitterModel:
     """Parametric phonon-coupled emitter with coordinate-dependent dipole.
 
-    The equilibrium dipole has axis angle ``equilibrium_angle`` (deg) and
+    The equilibrium dipole has vector angle ``equilibrium_angle`` (deg) and
     magnitude ``equilibrium_dipole``.  Each optical mode carries its own
     dipole-gradient direction; the acoustic continuum is represented by a
-    single effective gradient (``acoustic_gradient`` at axis angle
-    ``acoustic_grad_direction``) whose rotation sense follows the sign of
-    ``strain_bias``.  ``orientation_jitter`` sets the thermal orientation
-    wobble that caps the observable degree of linear polarization.
+    single effective gradient (``acoustic_gradient`` at vector angle
+    ``acoustic_grad_direction``, by default equilibrium_angle - 90) whose
+    rotation sense follows the sign of ``strain_bias``; all three angles
+    are vector angles (module docstring).  ``orientation_jitter`` sets the
+    thermal orientation wobble that caps the observable degree of linear
+    polarization.
     """
 
     zpl_energy: float
@@ -179,7 +182,7 @@ class EmitterModel:
     strain_bias: float = 0.0
     zpl_profile: str = "lorentzian"      # lorentzian | gaussian
     acoustic_gradient: float = 0.0       # effective g_ac
-    acoustic_grad_direction: float | None = None  # deg; default perp to dipole
+    acoustic_grad_direction: float | None = None  # deg; default psi0 - 90
     orientation_jitter: float = 0.0      # scale of thermal angle wobble
 
     def __post_init__(self):
@@ -211,9 +214,6 @@ class EmitterModel:
         if not np.isfinite(sum(m.partial_hr for m in modes)):
             raise ValidationError("total HR factor must be finite")
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(
-            self, "equilibrium_angle",
-            wrap_orientation_scalar(self.equilibrium_angle))
 
     @property
     def total_hr(self) -> float:
@@ -221,10 +221,11 @@ class EmitterModel:
 
     @property
     def acoustic_direction(self) -> float:
-        """Acoustic gradient axis; defaults to perpendicular to the dipole."""
+        """Acoustic gradient vector angle; defaults to equilibrium_angle - 90,
+        perpendicular to the dipole."""
         if self.acoustic_grad_direction is None:
-            return wrap_orientation_scalar(self.equilibrium_angle + 90.0)
-        return wrap_orientation_scalar(self.acoustic_grad_direction)
+            return self.equilibrium_angle - 90.0
+        return self.acoustic_grad_direction
 
 
 def condon_limit(model: EmitterModel) -> EmitterModel:

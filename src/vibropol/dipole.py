@@ -4,10 +4,12 @@ The dipole is expanded to first order in the mode displacements:
 
     mu(q) = mu0 * u(psi0) + sum_k g_k q_k dQ_k u(alpha_k)
 
-with u(a) the in-plane unit vector of axis angle a.  Emission at a given
-photon energy mixes vibronic channels incoherently (Stokes-vector
-addition); each channel carries the dipole axis of its characteristic
-displaced geometry.  Stokes replicas sample q_k = -sqrt(n), anti-Stokes
+with u(a) the in-plane unit vector of angle a.  Since q_k takes both
+signs, each angle is a vector angle (period 360 deg), and a gradient at
+alpha + 180 turns the dipole the other way.  Emission at a given photon
+energy mixes vibronic channels incoherently (Stokes-vector addition);
+each channel carries the dipole axis of its characteristic displaced
+geometry.  Stokes replicas sample q_k = -sqrt(n), anti-Stokes
 replicas +sqrt(n) with a fixed amplification factor of 2 (thermally
 populated initial levels sample larger displacements).  The acoustic
 wing is a pseudo-channel whose displacement grows as sqrt(delta/cutoff),
@@ -78,6 +80,12 @@ def thermal_amplification(model: EmitterModel) -> float:
     return float(np.sqrt(2.0 * n + 1.0) - 1.0)
 
 
+def _vector(magnitude: float, angle_deg: float) -> complex:
+    """magnitude u(angle) as x + iy, the angle a vector angle in deg."""
+    a = np.deg2rad(angle_deg)
+    return complex(magnitude * np.cos(a), magnitude * np.sin(a))
+
+
 def dipole_at_displacement(model: EmitterModel, q) -> tuple:
     """Dipole axis angle (deg) and magnitude at mode displacements q.
 
@@ -88,18 +96,15 @@ def dipole_at_displacement(model: EmitterModel, q) -> tuple:
     if q.shape != (len(model.modes),):
         raise ValidationError(
             f"q must have one entry per mode ({len(model.modes)})")
-    psi0 = np.deg2rad(model.equilibrium_angle)
-    vec = model.equilibrium_dipole * np.array([np.cos(psi0), np.sin(psi0)])
+    vec = _vector(model.equilibrium_dipole, model.equilibrium_angle)
     for mode, qk in zip(model.modes, q):
-        a = np.deg2rad(mode.grad_direction)
-        vec = vec + (mode.grad_magnitude * qk * mode.partial_dq
-                     * np.array([np.cos(a), np.sin(a)]))
-    mag = float(np.hypot(vec[0], vec[1]))
-    if mag < 1e-12 * model.equilibrium_dipole:
+        vec += qk * _vector(mode.grad_magnitude * mode.partial_dq,
+                            mode.grad_direction)
+    if abs(vec) < 1e-12 * model.equilibrium_dipole:
         raise NumericalError(
             "transition dipole cancels at this displacement; axis undefined")
-    angle = wrap_orientation_scalar(np.rad2deg(np.arctan2(vec[1], vec[0])))
-    return angle, mag
+    angle = wrap_orientation_scalar(np.rad2deg(np.arctan2(vec.imag, vec.real)))
+    return angle, float(abs(vec))
 
 
 def mode_rotations(model: EmitterModel) -> list:
@@ -136,61 +141,37 @@ def solve_gradient_for_rotation(delta_theta_deg: float, alpha_deg: float,
 def apply_strain_bias(model: EmitterModel) -> EmitterModel:
     """Blend mode gradient directions toward a common rotation sense.
 
-    Each alpha_k moves toward its mirror about the equilibrium axis
+    Each alpha_k whose one-phonon rotation opposes the sense of the bias
+    turns toward its mirror 2 psi0 - alpha_k about the equilibrium dipole
     (which flips the sign of the mode's rotation while preserving its
-    magnitude) with blend weight |strain_bias|; the sign of the bias
-    selects the shared sense.  bias = 0 is the identity.
-
-    grad_direction stores the gradient vector on the right half-plane
-    branch [-90, 90).  When the blended direction leaves that branch the
-    wrapped axis points the opposite way, so the gradient magnitude is
-    re-solved to keep the intended one-phonon rotation exact.
+    magnitude), by the fraction |strain_bias| of the shorter turn between
+    the two vectors; the sign of the bias selects the shared sense.  bias
+    = 0 is the identity.
     """
     b = model.strain_bias
     if b == 0.0 or not model.modes:
         return model
-    sense = 1.0 if b > 0 else -1.0
-    rotations = mode_rotations(model)
-    psi0 = model.equilibrium_angle
     new_modes = []
-    for mode, rot in zip(model.modes, rotations):
-        if rot.delta_theta * sense >= 0 or mode.grad_magnitude == 0:
-            new_modes.append(mode)
-            continue
-        # step toward the mirror in vector space (period 360), so the
-        # blend path is the true rotation of the gradient vector
-        mirrored = 2.0 * psi0 - mode.grad_direction
-        step = (mirrored - mode.grad_direction + 180.0) % 360.0 - 180.0
-        raw = mode.grad_direction + abs(b) * step      # unwrapped vector angle
-        alpha = wrap_orientation_scalar(raw)
-        if abs(raw - alpha) < 1e-9:
-            new_modes.append(replace(mode, grad_direction=alpha))
-            continue
-        # wrapping flipped the vector sense: recover the rotation the
-        # unwrapped direction would have produced, then re-solve g
-        rel = np.deg2rad(raw - psi0)
-        gq = mode.grad_magnitude * mode.partial_dq
-        target = np.rad2deg(np.arctan2(
-            gq * np.sin(rel), model.equilibrium_dipole + gq * np.cos(rel)))
-        g = solve_gradient_for_rotation(
-            target, alpha, psi0, model.equilibrium_dipole, mode.partial_dq)
-        new_modes.append(replace(mode, grad_direction=alpha, grad_magnitude=g))
+    for mode, rot in zip(model.modes, mode_rotations(model)):
+        if rot.delta_theta * b < 0 and mode.grad_magnitude > 0:
+            alpha = mode.grad_direction
+            mirror = 2.0 * model.equilibrium_angle - alpha
+            step = (mirror - alpha + 180.0) % 360.0 - 180.0
+            mode = replace(mode, grad_direction=alpha + abs(b) * step)
+        new_modes.append(mode)
     return replace(model, modes=tuple(new_modes))
 
 
 def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
-    """Vibronic lines: positions (meV below ZPL), weights, channel axes.
+    """Vibronic lines: positions (meV below ZPL), weights, dipoles.
 
-    Returns (shift, weight, vx, vy) arrays, one entry per multi-mode
-    replica with weight above the cutoff; (vx, vy) is its dipole.
+    Returns (shift, weight, dipole) arrays, one entry per multi-mode
+    replica with weight above the cutoff; the dipole is x + iy.
     """
-    psi0 = np.deg2rad(model.equilibrium_angle)
-    base = model.equilibrium_dipole * np.array([np.cos(psi0), np.sin(psi0)])
-
     shifts = np.array([0.0])
     weights = np.array([1.0])
-    vx = np.array([base[0]])
-    vy = np.array([base[1]])
+    dip = np.array([_vector(model.equilibrium_dipole,
+                            model.equilibrium_angle)])
     for mode in model.modes:
         ms, ws = mode_line_weights(mode, model.temperature)
         # a product weight is at most each factor: drop this mode's lines
@@ -204,21 +185,18 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
         # anti-Stokes +sqrt(|m|) amplified
         qs = np.where(ms >= 0, -np.sqrt(np.abs(ms)),
                       (1.0 + ANTI_STOKES_AMPLIFICATION) * np.sqrt(np.abs(ms)))
-        a = np.deg2rad(mode.grad_direction)
-        gx = mode.grad_magnitude * mode.partial_dq * np.cos(a)
-        gy = mode.grad_magnitude * mode.partial_dq * np.sin(a)
+        grad = _vector(mode.grad_magnitude * mode.partial_dq,
+                       mode.grad_direction)
         shifts = (shifts[:, None] + ms[None, :] * mode.energy_mev).ravel()
         weights = (weights[:, None] * ws[None, :]).ravel()
-        vx = (vx[:, None] + qs[None, :] * gx).ravel()
-        vy = (vy[:, None] + qs[None, :] * gy).ravel()
+        dip = (dip[:, None] + qs[None, :] * grad).ravel()
         keep = weights > cutoff
-        shifts, weights, vx, vy = (shifts[keep], weights[keep],
-                                   vx[keep], vy[keep])
+        shifts, weights, dip = shifts[keep], weights[keep], dip[keep]
         if shifts.size > MAX_LINES:
             raise NumericalError(f"more than {MAX_LINES} vibronic lines")
     if shifts.size == 0:
         raise NumericalError("no vibronic line above the weight cutoff")
-    return shifts, weights, vx, vy
+    return shifts, weights, dip
 
 
 def _axis_cos_sin(x, y):
@@ -294,12 +272,13 @@ def _stick_signal(shifts, coef, tau, lo: float, d: float) -> np.ndarray:
     return np.fft.rfft(f)[:, :tau.size] * deconv
 
 
-def _wing_residual(model: EmitterModel, shifts, weights, bx, by, lo: float,
+def _wing_residual(model: EmitterModel, shifts, weights, dip, lo: float,
                    d: float, n: int, span: tuple, reach_w: float):
     """(s1, s2) of the wing rotation residual at the n lattice points lo + j d
     in span (0 elsewhere), from the lines within reach_w of each."""
-    a_ac = np.deg2rad(model.acoustic_direction)
-    gx, gy = model.acoustic_gradient * np.array([np.cos(a_ac), np.sin(a_ac)])
+    grad = _vector(model.acoustic_gradient, model.acoustic_direction)
+    gx, gy = grad.real, grad.imag
+    bx, by = dip.real, dip.imag    # the loop stays real: complex is slower
     q_unit = (thermal_amplification(model) * np.sign(model.strain_bias)
               / np.sqrt(model.acoustic_cutoff))
     scale = weights * _jitter_dolp(model) / _acoustic_kernel_weights(model)[2]
@@ -333,10 +312,10 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
                  weight: np.ndarray) -> np.ndarray:
     """Channel-summed (s0, s1, s2) of the biased model on the grid, whose
     lineshape is ``weight`` (see ``orientation_vs_energy``)."""
-    shifts, weights, vx, vy = _enumerate_lines(model)
+    shifts, weights, dip = _enumerate_lines(model)
     # weight the cutoff left out (+ spreading, rounding: 1e-14)
     dropped = abs(1.0 - weights.sum()) + 1e-12
-    c2, sn2 = _axis_cos_sin(vx, vy)
+    c2, sn2 = _axis_cos_sin(dip.real, dip.imag)
     coef = weights * np.stack([np.ones_like(c2), c2, sn2])
     coef[1:] *= _jitter_dolp(model)
     _, _, knorm = _acoustic_kernel_weights(model)
@@ -346,12 +325,12 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     d_hi = (model.zpl_energy - grid.min_energy) * 1e3
     reach = reach_p + reach_w
     kept = (shifts >= d_lo - reach) & (shifts <= d_hi + reach)
-    shifts, coef, vx, vy = shifts[kept], coef[:, kept], vx[kept], vy[kept]
+    shifts, coef, dip = shifts[kept], coef[:, kept], dip[kept]
 
     def g_builder(tau, lo, d):
         g = _stick_signal(shifts, coef, tau, lo, d) * _wing_factor(model, tau)
         if thermal_amplification(model) * model.strain_bias != 0:
-            res = _wing_residual(model, shifts, coef[0], vx, vy, lo, d,
+            res = _wing_residual(model, shifts, coef[0], dip, lo, d,
                                  2 * (tau.size - 1), (d_lo - reach_p,
                                                       d_hi + reach_p), reach_w)
             g[1:] += d * np.fft.rfft(res) * _phase_ramp(lo * tau[1], tau.size)

@@ -192,6 +192,52 @@ def test_modes_command(tmp_path, capsys):
     assert "2 modes" in out and "1.26" in out
 
 
+def test_modes_command_keeps_a_vector_direction(tmp_path):
+    # a gradient direction is a vector angle: 120 deg is not -60 deg
+    table, out = tmp_path / "modes.csv", tmp_path / "out.csv"
+    table.write_text(
+        "energy_mev,partial_hr,partial_dq,grad_magnitude,grad_direction_deg\n"
+        "152,0.4,0.21,0.1,120\n")
+    assert _run(["modes", "--in", str(table), "--out", str(out),
+                 "--quiet"]) == 0
+    rows, _ = _read_rows(out, "energy_mev,partial_hr,partial_dq,"
+                              "grad_magnitude,grad_direction_deg")
+    assert rows[0, 4] == 120.0
+
+
+def _analyzed_psi(tmp_path, name, flags):
+    mp, rep = tmp_path / f"{name}-map.csv", tmp_path / f"{name}-report.csv"
+    assert _run(["simulate-map", *flags, "--out", str(mp), "--quiet"]) == 0
+    assert _run(["analyze-map", "--in", str(mp), "--out", str(rep),
+                 "--quiet"]) == 0
+    rows, _ = _read_rows(rep, "energy_ev,theta0_deg,dolp,psi_deg,chi_deg,"
+                              "dop,valid,rms_residual")
+    return rows[:, 3], rows[:, 6].astype(bool)
+
+
+def test_turned_preset_maps_to_the_turned_orientation(tmp_path):
+    # strong_coupling with its lab frame turned by +20 deg: psi0, the
+    # acoustic direction and every mode direction.  Read as axes, the
+    # mode directions 90 and 95 deg pointed the opposite way and the
+    # strain bias exited 2
+    from vibropol import load_preset
+    modes = load_preset("strong_coupling").modes
+    cfg = tmp_path / "turned.cfg"
+    cfg.write_text("equilibrium_angle_deg = 20\n"
+                   "acoustic_grad_direction_deg = -70\n" + "".join(
+                       f"mode{k} = {m.energy_mev!r}, {m.partial_hr!r}, "
+                       f"{m.partial_dq!r}, {m.grad_magnitude!r}, "
+                       f"{m.grad_direction + 20.0!r}\n"
+                       for k, m in enumerate(modes, start=1)))
+    flags = ["--preset", "strong_coupling"]
+    psi, valid = _analyzed_psi(tmp_path, "ref", flags)
+    psi_t, valid_t = _analyzed_psi(tmp_path, "turned",
+                                   [*flags, "--config", str(cfg)])
+    assert np.any(valid) and np.array_equal(valid_t, valid)
+    dev = (psi_t[valid] - psi[valid] - 20.0 + 90.0) % 180.0 - 90.0
+    assert np.abs(dev).max() < 1e-8
+
+
 def test_missing_input_file_is_io_error(tmp_path):
     assert _run(["analyze-map", "--in", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "r.csv"), "--quiet"]) == 4

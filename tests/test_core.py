@@ -66,8 +66,8 @@ def test_phonon_mode_validation():
         _mode(energy_mev=0.0)
     with pytest.raises(ValidationError):
         _mode(partial_hr=-0.1)
-    m = _mode(grad_direction=135.0)
-    assert abs(m.grad_direction + 45.0) < 1e-12
+    # a gradient direction is a vector angle, kept as given
+    assert _mode(grad_direction=135.0).grad_direction == 135.0
 
 
 def _model(**kw):
@@ -86,7 +86,7 @@ def test_model_validation():
         _model(strain_bias=1.5)
     with pytest.raises(ValidationError):
         _model(zpl_profile="voigt")
-    assert _model(equilibrium_angle=110.0).equilibrium_angle == -70.0
+    assert _model(equilibrium_angle=110.0).equilibrium_angle == 110.0
 
 
 def test_integer_fields_are_stored_as_floats():
@@ -112,10 +112,11 @@ def test_integer_fields_are_stored_as_floats():
 
 
 def test_acoustic_direction_default_perpendicular():
-    m = _model(equilibrium_angle=10.0)
-    assert abs(m.acoustic_direction - (-80.0)) < 1e-12
-    m2 = _model(acoustic_grad_direction=95.0)
-    assert abs(m2.acoustic_direction - (-85.0)) < 1e-12
+    # psi0 - 90 for every psi0, a negative one included; a given
+    # direction is kept as given
+    assert _model(equilibrium_angle=10.0).acoustic_direction == -80.0
+    assert _model(equilibrium_angle=-30.0).acoustic_direction == -120.0
+    assert _model(acoustic_grad_direction=95.0).acoustic_direction == 95.0
 
 
 def test_condon_limit_strips_gradients():

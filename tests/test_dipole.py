@@ -12,7 +12,7 @@ from vibropol import (EmitterModel, NumericalError, PhononMode,
                       dipole_at_displacement, load_preset, make_grid,
                       mode_rotations, opsb_offset, orientation_vs_energy,
                       solve_gradient_for_rotation, thermal_amplification)
-from vibropol.core import wrap_orientation_scalar
+from vibropol.core import wrap_orientation
 import vibropol.vibronic as vibronic
 from vibropol.vibronic import (_acoustic_kernel_weights, _wing_factor,
                                acoustic_wing_density, full_band_grid,
@@ -40,8 +40,7 @@ def test_equilibrium_geometry_identity():
 
 def test_right_triangle_rotation():
     # perpendicular gradient with g*dq = mu0*tan(10 deg) rotates by 10 deg
-    # (psi0 + 90 must stay on the storage branch, hence a negative psi0)
-    psi0 = -20.0
+    psi0 = 20.0
     g = math.tan(math.radians(10.0)) / 0.3
     m = _model([_mode(g, psi0 + 90.0)], psi0=psi0)
     angle, _ = dipole_at_displacement(m, [1.0])
@@ -98,13 +97,12 @@ def test_mode_rotations_strong_preset_maximum():
 
 
 def test_mode_rotations_frame_invariance():
-    # rotating the lab frame leaves every delta_theta unchanged; frames
-    # are drawn so no gradient axis crosses the branch cut at +/-90 deg
+    # rotating the lab frame leaves every delta_theta unchanged
     rng = np.random.default_rng(3)
     base_alphas = [-25.0, 10.0, 30.0]
     base = _model([_mode(0.4, a) for a in base_alphas])
     ref = [r.delta_theta for r in mode_rotations(base)]
-    for phi in rng.uniform(-55.0, 55.0, 10):
+    for phi in rng.uniform(-180.0, 180.0, 10):
         m = _model([_mode(0.4, a + phi) for a in base_alphas], psi0=phi)
         got = [r.delta_theta for r in mode_rotations(m)]
         assert np.allclose(got, ref, atol=1e-10)
@@ -152,6 +150,42 @@ def test_strain_bias_partial_blend_moves_toward_mirror():
     d0 = mode_rotations(m0)[0].delta_theta
     d1 = mode_rotations(apply_strain_bias(m0))[0].delta_theta
     assert d0 < 0 < d1 or abs(d1) < abs(d0)
+
+
+def test_strain_bias_mirror_past_the_axis_branch():
+    # psi0 = -46 deg, one mode at 0 deg: the full negative bias turns the
+    # gradient to its mirror at -92 deg, which is a plain vector angle; on
+    # the axis branch [-90, 90) it read as the opposite vector and the
+    # model exited with a validation error
+    m = _model([_mode(0.5, 0.0)], psi0=-46.0, strain_bias=-1.0,
+               temperature=300.0, acoustic_coupling=2.0,
+               acoustic_gradient=0.02)
+    biased = apply_strain_bias(m)
+    assert biased.modes[0].grad_direction == -92.0
+    before, after = (mode_rotations(x)[0].delta_theta for x in (m, biased))
+    assert before > 0 and abs(after + before) < 1e-9
+    grid = make_grid(m.zpl_energy - 0.2, m.zpl_energy + 0.03, 231)
+    assert np.any(orientation_vs_energy(m, grid).valid)
+
+
+_angles = st.floats(-180.0, 180.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(psi0=_angles, bias=st.floats(-1.0, 1.0), full=st.booleans(),
+       modes=st.lists(st.tuples(st.floats(0.0, 2.0), _angles), max_size=4))
+def test_strain_bias_never_raises(psi0, bias, full, modes):
+    # any psi0, directions and bias: the bias is a rotation toward the
+    # mirror, so it never raises; the full bias gives every mode the
+    # bias's sense at its own magnitude
+    if full:
+        bias = math.copysign(1.0, bias)
+    m = _model([_mode(g, a) for g, a in modes], psi0=psi0, strain_bias=bias)
+    rots = mode_rotations(apply_strain_bias(m))
+    if abs(bias) == 1.0:
+        for raw, got in zip(mode_rotations(m), rots):
+            assert got.delta_theta * bias > 0 or abs(got.delta_theta) < 1e-9
+            assert abs(abs(got.delta_theta) - abs(raw.delta_theta)) < 1e-9
 
 
 def _flank_is_monotone(model):
@@ -250,6 +284,30 @@ def test_bias_antisymmetry():
     assert np.allclose(cp.dolp[v], cm.dolp[v], atol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["strong_coupling", "weak_coupling"])
+def test_lab_frame_turn_turns_psi(name):
+    # turning psi0, every gradient direction and the acoustic direction by
+    # phi turns psi by phi and leaves DOLP, weight and valid bins alone
+    ref_model = load_preset(name)
+    grid = make_grid(ref_model.zpl_energy - 0.03, ref_model.zpl_energy + 0.03,
+                     601)
+    ref = orientation_vs_energy(ref_model, grid)
+    assert np.any(ref.valid)
+    for phi in (-90.0, -40.0, -5.0, 20.0, 90.0, 180.0):
+        turned = replace(
+            ref_model, equilibrium_angle=ref_model.equilibrium_angle + phi,
+            acoustic_grad_direction=ref_model.acoustic_direction + phi,
+            modes=tuple(replace(m, grad_direction=m.grad_direction + phi)
+                        for m in ref_model.modes))
+        curve = orientation_vs_energy(turned, grid)
+        assert np.array_equal(curve.valid, ref.valid)
+        assert np.array_equal(curve.weight, ref.weight)
+        v = ref.valid
+        assert np.abs(wrap_orientation(curve.psi[v] - ref.psi[v] - phi)
+                      ).max() < 1e-8
+        assert np.abs(curve.dolp - ref.dolp).max() < 1e-10
+
+
 def test_low_signal_marked_invalid():
     model = load_preset("weak_coupling", temperature_k=0)
     # grid reaching far above the ZPL where nothing emits at T = 0
@@ -288,7 +346,8 @@ def test_opsb_offset_requires_modes():
 
 def _lines(model):
     """Lines of the biased model: shifts, weights, dipoles, Stokes sticks."""
-    shifts, weights, vx, vy = dipole._enumerate_lines(model)
+    shifts, weights, dip = dipole._enumerate_lines(model)
+    vx, vy = dip.real, dip.imag
     r2 = vx * vx + vy * vy
     jit = dipole._jitter_dolp(model)
     coef = np.stack([weights, weights * (vx * vx - vy * vy) / r2 * jit,
@@ -597,11 +656,11 @@ def _random_model(draw):
     """0-3 modes, either profile, 0-500 K, with or without a wing"""
     modes = [PhononMode(draw(st.floats(1.0, 200.0)), draw(st.floats(0.0, 3.0)),
                         draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.6)),
-                        draw(st.floats(-90.0, 90.0)))
+                        draw(_angles))
              for _ in range(draw(st.integers(0, 3)))]
     wing = draw(st.booleans())
     return EmitterModel(
-        zpl_energy=1.848, equilibrium_angle=draw(st.floats(-90.0, 90.0)),
+        zpl_energy=1.848, equilibrium_angle=draw(_angles),
         equilibrium_dipole=1.0, modes=tuple(modes),
         zpl_linewidth=draw(st.floats(0.3, 3.0)),
         zpl_profile=draw(st.sampled_from(["gaussian", "lorentzian"])),
@@ -617,13 +676,9 @@ def _random_model(draw):
 @given(model=_random_model())
 def test_random_models_render_and_orient(model):
     # lineshape takes its own full band, and the map window's curve raises
-    # no NumericalError and has DOLP <= 1 and psi finite where valid (a
-    # bias that apply_strain_bias cannot realize is a ValidationError)
+    # nothing and has DOLP <= 1 and psi finite where valid
     lineshape(model, full_band_grid(model))
     window = make_grid(model.zpl_energy - 0.030, model.zpl_energy + 0.030, 121)
-    try:
-        curve = orientation_vs_energy(model, window)
-    except ValidationError:
-        return
+    curve = orientation_vs_energy(model, window)
     assert np.all(curve.dolp <= 1.0)
     assert np.all(np.isfinite(curve.psi[curve.valid]))

@@ -15,8 +15,11 @@ its own scratch directory, with the same relative file names, so the
 - ``g2`` (seed 7) and the ``roundtrip`` report.
 
 One line per file: ``identical``, or ``differs`` with the number of data
-rows that differ out of A's, and the largest deviation in a numeric column
-relative to that column's peak |value| in A, with the column's name.
+rows that differ out of A's, then the largest deviation in a numeric column
+relative to that column's peak |value| in A, that column's largest
+absolute deviation and its name, and the names of the columns where a cell
+changes between NaN and a number.  A column is numeric when every cell of
+it parses as a number in both files; text columns are skipped.
 Exits 0 when every file is identical, 1 when some differ, and 2 when a
 tree holds no ``vibropol`` or fails to run a command.
 """
@@ -96,6 +99,14 @@ def _table(path: Path):
     return lines[0].split(","), lines[1:]
 
 
+def _numbers(cells):
+    """The cells as floats, or None when one of them is not a number."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return None
+
+
 def compare(a: Path, b: Path) -> str:
     """One report line for the file pair."""
     if a.read_bytes() == b.read_bytes():
@@ -107,16 +118,27 @@ def compare(a: Path, b: Path) -> str:
                 f"({','.join(names)}) vs {len(rows_b)} ({','.join(names_b)})")
     changed = sum(ra != rb for ra, rb in zip(rows_a, rows_b))
     text = f"differs  rows {changed}/{len(rows_a)}"
-    try:
-        x, y = (np.array([r.split(",") for r in rows], dtype=float)
-                .reshape(len(rows), len(names)) for rows in (rows_a, rows_b))
-    except ValueError:
-        return text + "  (non-numeric cells)"
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dev = (np.nanmax(np.abs(x - y), axis=0, initial=0.0)
-               / np.nanmax(np.abs(x), axis=0, initial=0.0))
-    col = int(np.nanargmax(np.where(np.isnan(dev), -1.0, dev)))
-    return text + f"  max {dev[col]:.2e} of peak ({names[col]})"
+    cells = [[r.split(",") for r in rows] for rows in (rows_a, rows_b)]
+    if any(len(r) != len(names) for rows in cells for r in rows):
+        return text + "  (rows of unequal length)"
+    worst, flips = None, []
+    for name, col_a, col_b in zip(names, zip(*cells[0]), zip(*cells[1])):
+        x, y = _numbers(col_a), _numbers(col_b)
+        if x is None or y is None:
+            continue
+        if np.any(np.isnan(x) != np.isnan(y)):
+            flips.append(name)
+        with np.errstate(invalid="ignore"):
+            dev = np.nanmax(np.abs(x - y), initial=0.0)
+        peak = np.nanmax(np.abs(x), initial=0.0)
+        rel = dev / peak if dev > 0 else 0.0
+        if worst is None or rel > worst[0]:
+            worst = (rel, dev, name)
+    if worst is None:
+        return text + "  (no numeric column)"
+    rel, dev, name = worst
+    text += f"  max {rel:.2e} of peak, {dev:.2e} absolute ({name})"
+    return text + (f"  NaN <-> number: {','.join(flips)}" if flips else "")
 
 
 def main(argv=None) -> int:
