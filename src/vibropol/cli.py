@@ -59,20 +59,14 @@ def _parse_angles(text: str) -> np.ndarray:
 
 
 def _resolve_model(args) -> EmitterModel:
-    overrides = {}
-    if getattr(args, "temp", None) is not None:
-        overrides["temperature_k"] = args.temp
-    if getattr(args, "strain_bias", None) is not None:
-        overrides["strain_bias"] = args.strain_bias
+    flags = {"temperature_k": args.temp, "strain_bias": args.strain_bias}
     if args.config:
         cfg = read_config(args.config)
         if args.preset:
-            base = model_to_config(load_preset(args.preset))
-            base.update(cfg)
-            cfg = base
-        return model_from_config(cfg, **overrides)
+            cfg = {**model_to_config(load_preset(args.preset)), **cfg}
+        return model_from_config(cfg, **flags)
     if args.preset:
-        return load_preset(args.preset, **overrides)
+        return load_preset(args.preset, **flags)
     raise ValidationError("one of --preset or --config is required")
 
 

@@ -156,7 +156,7 @@ class PhononMode:
             raise ValidationError("mode parameters must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EmitterModel:
     """Parametric phonon-coupled emitter with coordinate-dependent dipole.
 
@@ -168,12 +168,13 @@ class EmitterModel:
     rotation sense follows the sign of ``strain_bias``; all three angles
     are vector angles (module docstring).  ``orientation_jitter`` sets the
     thermal orientation wobble that caps the observable degree of linear
-    polarization.
+    polarization.  Fields are keyword-only; ``config._KEYS`` names each
+    one's config key.
     """
 
     zpl_energy: float
-    equilibrium_angle: float
-    equilibrium_dipole: float
+    equilibrium_angle: float = 0.0       # deg
+    equilibrium_dipole: float = 1.0
     modes: tuple
     zpl_linewidth: float                 # meV, FWHM of the ZPL profile
     acoustic_coupling: float = 0.0       # dimensionless wing weight per side

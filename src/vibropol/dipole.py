@@ -200,10 +200,12 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
 
 
 def _axis_cos_sin(x, y):
-    """(cos 2a, sin 2a) of the axis through (x, y); (0, 0) at the origin."""
-    r2 = x * x + y * y
-    inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-    return (x * x - y * y) * inv, 2.0 * x * y * inv
+    """(cos 2a, sin 2a) of the axis through (x, y); (0, 0) at the origin,
+    NaN where x^2 + y^2 overflows (the Stokes sums' finiteness check)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = x * x + y * y
+        inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
+        return (x * x - y * y) * inv, 2.0 * x * y * inv
 
 
 def _line_reach(model: EmitterModel, budget: float) -> tuple:
@@ -214,6 +216,7 @@ def _line_reach(model: EmitterModel, budget: float) -> tuple:
     profile reach R_p has (1/FWHM + 2 rho_max) e^{-R_p^2 / 2 sigma^2} =
     budget/16 for a Gaussian profile (peak below 1/FWHM), rho_max =
     w_s / (e c); the Lorentzian tail is algebraic, so its R_p is infinite.
+    ``budget`` is a float, so a ratio that overflows is inf, not a warning.
     """
     if not budget > 0:
         return np.inf, np.inf
@@ -248,7 +251,7 @@ def _jitter_dolp(model: EmitterModel) -> float:
     """Per-channel DOLP ceiling from thermal orientation wobble."""
     sigma_jit = (model.acoustic_gradient * model.orientation_jitter
                  * thermal_amplification(model) / model.equilibrium_dipole)
-    return float(np.exp(-2.0 * np.square(sigma_jit)))
+    return float(np.exp(-2.0 * sigma_jit * sigma_jit))  # float: no warning
 
 
 def _stick_signal(shifts, coef, tau, lo: float, d: float) -> np.ndarray:
@@ -320,7 +323,7 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     coef[1:] *= _jitter_dolp(model)
     _, _, knorm = _acoustic_kernel_weights(model)
     tol = TAIL_FRACTION * LOW_SIGNAL_FRACTION * float(weight.max())
-    reach_p, reach_w = _line_reach(model, tol * knorm / weights.sum())
+    reach_p, reach_w = _line_reach(model, float(tol * knorm / weights.sum()))
     d_lo = (model.zpl_energy - grid.max_energy) * 1e3     # meV below ZPL
     d_hi = (model.zpl_energy - grid.min_energy) * 1e3
     reach = reach_p + reach_w

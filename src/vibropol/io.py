@@ -13,6 +13,7 @@ data rows with one ``np.loadtxt`` call.
 from __future__ import annotations
 
 import re
+from dataclasses import astuple
 
 import numpy as np
 
@@ -56,8 +57,11 @@ def _write_table(path, header: str, columns, config: dict | None,
 def _read_rows(path, expected_header: str):
     """(rows, footer): float64 data rows, one column per header field, and
     the 'key = value' pairs of the '#' lines, which may appear anywhere."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = "\n" + fh.read() + "\n"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = "\n" + fh.read() + "\n"
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path} is not UTF-8 text") from None
     footer, kept, pos = {}, [], 0
     for m in _MAYBE_SKIPPED.finditer(text):
         end = text.find("\n", m.end())
@@ -132,9 +136,7 @@ MODE_HEADER = "energy_mev,partial_hr,partial_dq,grad_magnitude,grad_direction_de
 
 def write_mode_table(path, modes, config: dict | None = None) -> None:
     _write_table(path, MODE_HEADER, np.array(
-        [(m.energy_mev, m.partial_hr, m.partial_dq, m.grad_magnitude,
-          m.grad_direction) for m in modes], dtype=float).reshape(-1, 5).T,
-        config)
+        [astuple(m) for m in modes], dtype=float).reshape(-1, 5).T, config)
 
 
 def read_mode_table(path) -> tuple:

@@ -279,7 +279,12 @@ def _render_map(curve: OrientationCurve, angles_deg, mode: str,
     peak = inten.max()
     if peak <= 0:
         raise NumericalError("simulated map has no intensity")
-    expected = inten * (counts_per_point / peak)
+    scale = counts_per_point / float(peak)       # a float: inf, no warning
+    if not np.isfinite(scale):
+        raise ValidationError(f"counts_per_point {counts_per_point:g} is too "
+                              f"large: its scale to the map peak {peak:.3g} "
+                              "is not finite")
+    expected = inten * scale
     if noise == "poisson":
         rng = np.random.default_rng(seed)
         expected = rng.poisson(expected).astype(float)

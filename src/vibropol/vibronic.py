@@ -329,6 +329,8 @@ def full_band_grid(model: EmitterModel,
     lo = model.zpl_energy - max([stokes * 1e-3] + [
         5.0 * (m.energy_mev * 1e-3) for m in model.modes])
     hi = model.zpl_energy + anti * 1e-3
+    if not np.isfinite(hi - lo):
+        raise ValidationError("grid bounds must be finite")
     n = np.floor((hi - lo) / (spacing_mev * 1e-3)) + 2
     return EnergyGrid(lo, lo + (n - 1) * spacing_mev * 1e-3, n)
 

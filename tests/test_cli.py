@@ -389,6 +389,38 @@ def test_bad_config_value_is_validation_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,key,preset", [
+    ("temprature_k = 6", "temprature_k", []),
+    ("temprature_k = 6", "temprature_k", ["--preset", "weak_coupling"]),
+    ("mode3 = 170, 1, 0.2, 0.1, 10", "mode3", []),     # no mode2
+])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, line, key,
+                                              preset):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.8\nzpl_linewidth_mev = 1.0\n"
+                   f"mode1 = 160, 1, 0.2, 0.1, 10\n{line}\n")
+    out = tmp_path / "s.csv"
+    assert _run(["spectrum", *preset, "--config", str(cfg), "--grid",
+                 "1.7:1.9:201", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: validation: unknown config key '{key}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "analyze-map", "fit-malus",
+                                     "stokes", "modes"])
+def test_non_utf8_file_is_validation_error(tmp_path, capsys, command):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff" + b"zpl_energy_ev = 1.8\n")
+    argv = [command, "--config" if command == "spectrum" else "--in",
+            str(path), "--quiet"]
+    if command in ("spectrum", "analyze-map"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: validation: {path} is not UTF-8 text\n")
+
+
 SMALL_MAP = ["simulate-map", "--grid", "1.82:1.88:61", "--angles", "0:150:30"]
 
 
@@ -733,11 +765,54 @@ def test_subnormal_linewidth_prints_only_the_error_line(tmp_path, profile):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 5e-324\n"
                    f"zpl_profile = {profile}\nmode1 = 160, 1, 0.2, 0.1, 10\n")
+    assert _cli_in_own_interpreter([
+        "spectrum", "--grid", "1.80:1.86:61", "--config", str(cfg), "--out",
+        str(tmp_path / "s.csv"), "--quiet"]) == (
+            3, "error: numerical: renderer window is not finite\n")
+
+
+def _cli_in_own_interpreter(argv):
+    """(exit code, stderr) of the CLI in a fresh interpreter, where a
+    RuntimeWarning prints as it would for a user."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    run = subprocess.run(
-        [sys.executable, "-m", "vibropol.cli", "spectrum", "--grid",
-         "1.80:1.86:61", "--config", str(cfg), "--out",
-         str(tmp_path / "s.csv"), "--quiet"], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert run.returncode == 3
-    assert run.stderr == "error: numerical: renderer window is not finite\n"
+    run = subprocess.run([sys.executable, "-m", "vibropol.cli", *argv],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    return run.returncode, run.stderr
+
+
+def test_overflowing_counts_scale_prints_only_the_error_line(tmp_path):
+    # counts / peak overflowed with a RuntimeWarning, and the map was then
+    # refused as "intensities must be finite and >= 0"
+    code, err = _cli_in_own_interpreter([
+        "simulate-map", "--preset", "weak_coupling", "--counts", "1e308",
+        "--out", str(tmp_path / "m.csv"), "--quiet"])
+    assert code == 2
+    assert re.fullmatch(r"error: validation: counts_per_point 1e\+308 is too "
+                        r"large: its scale to the map peak \S+ is not "
+                        r"finite\n", err)
+
+
+@pytest.mark.parametrize("argv,lines,code,err", [
+    # the Gaussian reach ratio overflowed (dipole._line_reach)
+    (SMALL_MAP, "acoustic_coupling = 1\nacoustic_cutoff_mev = 1e-300", 0, ""),
+    # the full band's bounds are infinite (vibronic.full_band_grid)
+    (["spectrum"], "acoustic_coupling = 1\nacoustic_cutoff_mev = 1e300", 2,
+     "error: validation: grid bounds must be finite\n"),
+    # the jitter sigma squared overflowed (dipole._jitter_dolp)
+    (SMALL_MAP, "orientation_jitter = 1e300\nacoustic_gradient = 1\n"
+                "acoustic_coupling = 1\nstrain_bias = 1", 0, ""),
+    # the wing channel axes overflow (dipole._axis_cos_sin)
+    (SMALL_MAP, "acoustic_coupling = 2\nacoustic_gradient = 1e300\n"
+                "strain_bias = 1", 3,
+     "error: numerical: channel Stokes sums overflow\n"),
+])
+def test_extreme_wing_config_prints_only_the_error_line(tmp_path, argv, lines,
+                                                        code, err):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1\n"
+                   "zpl_profile = gaussian\nmode1 = 160, 1.0, 0.4, 0.3, 45\n"
+                   f"{lines}\n")
+    assert _cli_in_own_interpreter([
+        *argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+        "--quiet"]) == (code, err)

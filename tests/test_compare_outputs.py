@@ -21,13 +21,14 @@ def test_a_tree_matches_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"# A = {ROOT / 'src'}", f"# B = {ROOT / 'src'}"]
     files = [ln.split()[0] for ln in lines[2:-1]]
-    # 12 spectra, 8 analyzer and 8 RQWP maps with their 16 reports, g2 and
-    # the roundtrip report
-    assert len(files) == 46 and "g2.csv" in files
-    assert {"roundtrip.csv", "report-rqwp-weak_coupling-6K-poisson.csv"
-            } <= set(files)
+    # 12 spectra, 8 analyzer and 8 RQWP maps with their 16 reports, the
+    # Lorentzian 4 spectra, 2 maps and 2 reports, g2 and the roundtrip report
+    assert len(files) == 54 and "g2.csv" in files
+    assert {"roundtrip.csv", "report-rqwp-weak_coupling-6K-poisson.csv",
+            "spectrum-lorentzian-strong_coupling-0K.csv",
+            "report-lorentzian-weak_coupling-300K.csv"} <= set(files)
     assert all(ln.endswith("  identical") for ln in lines[2:-1])
-    assert lines[-1] == "# 46 of 46 files identical"
+    assert lines[-1] == "# 54 of 54 files identical"
 
 
 def test_differing_rows_are_counted_against_the_column_peak(tmp_path):

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from vibropol import (PhononMode, Spectrum, ValidationError, load_preset,
-                      make_grid, model_from_config, model_to_config)
+from vibropol import (EmitterModel, PhononMode, Spectrum, ValidationError,
+                      load_preset, make_grid, model_from_config,
+                      model_to_config)
 from vibropol import io
 from vibropol.config import parse_config, PRESET_NAMES
 from vibropol.core import OrientationCurve, PolarizationMap
@@ -113,6 +116,52 @@ def test_bad_config_values_are_validation_errors():
                        ("acoustic_grad_direction_deg", "-inf")):
         with pytest.raises(ValidationError, match="mode1|finite"):
             model_from_config({**base, key: value})
+
+
+# every field off its default, the acoustic direction given
+_ALL_FIELDS_SET = EmitterModel(
+    zpl_energy=1.9, equilibrium_angle=-30.0, equilibrium_dipole=2.0,
+    modes=(PhononMode(150.0, 0.5, 0.2, 0.1, 120.0),
+           PhononMode(170.0, 0.7, 0.3, 0.2, -45.0)),
+    zpl_linewidth=0.5, acoustic_coupling=1.5, acoustic_cutoff=3.0,
+    temperature=6.0, strain_bias=-0.5, zpl_profile="gaussian",
+    acoustic_gradient=0.02, acoustic_grad_direction=200.0,
+    orientation_jitter=3.0)
+
+
+@pytest.mark.parametrize("model", [
+    _ALL_FIELDS_SET, *(load_preset(name) for name in PRESET_NAMES)])
+def test_every_field_round_trips_through_the_config(model):
+    assert all(getattr(_ALL_FIELDS_SET, f.name) != f.default
+               for f in fields(EmitterModel))
+    assert model_from_config(model_to_config(model)) == model
+
+
+def test_a_left_out_key_takes_the_field_default():
+    model = model_from_config({"zpl_energy_ev": "1.8",
+                               "zpl_linewidth_mev": "1.0"})
+    assert model == EmitterModel(zpl_energy=1.8, zpl_linewidth=1.0, modes=())
+
+
+@pytest.mark.parametrize("cfg,overrides,key", [
+    ({"temprature_k": "6"}, {}, "temprature_k"),            # misspelled
+    ({}, {"temperature": 6.0}, "temperature"),              # field name
+    ({"mode1": "160, 1, 0.2, 0.1, 10", "mode3": "170, 1, 0.2, 0.1, 10"},
+     {}, "mode3"),                                          # gap after mode1
+])
+def test_unknown_config_key_is_refused(cfg, overrides, key):
+    base = {"zpl_energy_ev": "1.8", "zpl_linewidth_mev": "1.0"}
+    with pytest.raises(ValidationError, match=f"^unknown config key '{key}'$"):
+        model_from_config({**base, **cfg}, **overrides)
+    if overrides:
+        with pytest.raises(ValidationError, match=f"'{key}'"):
+            load_preset("strong_coupling", **overrides)
+
+
+def test_a_later_line_overrides_an_earlier_one():
+    cfg = parse_config("zpl_energy_ev = 1.8\nzpl_linewidth_mev = 1\n"
+                       "temperature_k = 6\ntemperature_k = 77\n")
+    assert model_from_config(cfg).temperature == 77.0
 
 
 # ------------------------------------------- byte identity of the CSV layer

@@ -12,6 +12,9 @@ its own scratch directory, with the same relative file names, so the
 - ``simulate-map`` in both modes (analyzer and RQWP) on both presets at 6
   and 300 K, with noise ``none`` and ``poisson`` (seed 7), each followed by
   ``analyze-map`` in its mode;
+- with a ``--config`` file holding ``zpl_profile = lorentzian`` over each
+  preset: ``spectrum`` at 0 and 300 K, and the noise-free analyzer map at
+  300 K with its ``analyze-map`` report;
 - ``g2`` (seed 7) and the ``roundtrip`` report.
 
 One line per file: ``identical``, or ``differs`` with the number of data
@@ -40,6 +43,8 @@ PRESETS = ("strong_coupling", "weak_coupling")
 SPECTRUM_TEMPS = (0, 6, 50, 100, 200, 300)
 MAP_TEMPS = (6, 300)
 MAP_MODES = ("analyzer", "rqwp")
+# written into each tree's scratch directory: no preset is Lorentzian
+LORENTZIAN_CFG = "lorentzian.cfg"
 
 # runs in the tree's interpreter: argv[1] is the JSON list of CLI calls
 CHILD = """
@@ -69,6 +74,16 @@ def commands() -> list:
                             ["analyze-map", "--in", f"map-{name}.csv",
                              "--mode", mode, "--out", f"report-{name}.csv",
                              "--quiet"]]
+    for p in PRESETS:
+        model = ["--preset", p, "--config", LORENTZIAN_CFG]
+        name = f"lorentzian-{p}-300K"
+        out += [["spectrum", *model, "--temp", str(t), "--out",
+                 f"spectrum-lorentzian-{p}-{t}K.csv", "--quiet"]
+                for t in (0, 300)]
+        out += [["simulate-map", *model, "--temp", "300", "--out",
+                 f"map-{name}.csv", "--quiet"],
+                ["analyze-map", "--in", f"map-{name}.csv", "--out",
+                 f"report-{name}.csv", "--quiet"]]
     return out + [["g2", "--seed", "7", "--out", "g2.csv", "--quiet"],
                   ["roundtrip", "--out", "roundtrip.csv", "--quiet"]]
 
@@ -81,6 +96,7 @@ def package_root(src: str) -> Path:
 
 def run_tree(root: Path, dest: Path) -> None:
     """Run every command with vibropol from ``root``, in ``dest``."""
+    (dest / LORENTZIAN_CFG).write_text("zpl_profile = lorentzian\n")
     env = dict(os.environ, PYTHONPATH=str(root))
     argv = [sys.executable, "-c", CHILD, json.dumps(commands())]
     done = subprocess.run(argv, cwd=dest, env=env, capture_output=True,
@@ -162,7 +178,7 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        names = sorted(p.name for p in dirs[0].iterdir())
+        names = sorted(p.name for p in dirs[0].glob("*.csv"))
         print(f"# A = {roots[0]}\n# B = {roots[1]}")
         reports = {n: compare(dirs[0] / n, dirs[1] / n) for n in names}
     for name, line in reports.items():
