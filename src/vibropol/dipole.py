@@ -35,7 +35,7 @@ import numpy as np
 from .core import (MAX_LINES, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, ValidationError, _stokes_psi_dop_chi,
                    wrap_orientation_scalar)
-from .vibronic import (_acoustic_kernel_weights, _phase_ramp, _wing_factor,
+from .vibronic import (_acoustic_kernel_weights, _wing_factor,
                        _render_shift_spectrum, acoustic_wing_density,
                        bose_occupation, lineshape_density, mode_line_weights)
 
@@ -45,9 +45,11 @@ ANTI_STOKES_AMPLIFICATION = 1.0
 # a grid point is invalid when its intensity is below this fraction of peak
 LOW_SIGNAL_FRACTION = 1e-6
 
-# line tails left out of the orientation sums add at most this fraction of
-# the low-signal threshold at any grid point
+# line tails left out of the orientation sums add at most TAIL_FRACTION of
+# the low-signal threshold at any grid point; lines of weight at or below
+# LINE_CUTOFF are left out of them
 TAIL_FRACTION = 1e-12
+LINE_CUTOFF = 1e-9
 
 _ELEMENT_CAP = 65536    # wing residual block (cache-sized: 2x faster than 4M)
 _PRODUCT_CAP = 2 ** 23  # elements per array of a line product (64 MiB)
@@ -74,8 +76,6 @@ def thermal_amplification(model: EmitterModel) -> float:
     acoustic cutoff energy: the width of the thermally sampled nuclear
     distribution relative to the zero-point spread.
     """
-    if model.temperature == 0:
-        return 0.0
     n = bose_occupation(model.acoustic_cutoff, model.temperature)
     return float(np.sqrt(2.0 * n + 1.0) - 1.0)
 
@@ -110,12 +110,10 @@ def dipole_at_displacement(model: EmitterModel, q) -> tuple:
 def mode_rotations(model: EmitterModel) -> list:
     """Per-mode dipole rotation at the one-phonon displaced geometry."""
     out = []
-    for k, mode in enumerate(model.modes):
-        q = np.zeros(len(model.modes))
-        q[k] = 1.0
+    for k, q in enumerate(np.eye(len(model.modes))):
         angle, _ = dipole_at_displacement(model, q)
         delta = wrap_orientation_scalar(angle - model.equilibrium_angle)
-        out.append(ModeRotation(k, mode.energy_mev, delta))
+        out.append(ModeRotation(k, model.modes[k].energy_mev, delta))
     return out
 
 
@@ -162,25 +160,23 @@ def apply_strain_bias(model: EmitterModel) -> EmitterModel:
     return replace(model, modes=tuple(new_modes))
 
 
-def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
+def _enumerate_lines(model: EmitterModel):
     """Vibronic lines: positions (meV below ZPL), weights, dipoles.
 
     Returns (shift, weight, dipole) arrays, one entry per multi-mode
-    replica with weight above the cutoff; the dipole is x + iy.
+    replica with weight above LINE_CUTOFF; the dipole is x + iy.
     """
-    shifts = np.array([0.0])
-    weights = np.array([1.0])
+    shifts, weights = np.zeros(1), np.ones(1)
     dip = np.array([_vector(model.equilibrium_dipole,
                             model.equilibrium_angle)])
     for mode in model.modes:
         ms, ws = mode_line_weights(mode, model.temperature)
         # a product weight is at most each factor: drop this mode's lines
         # below the cutoff first, then bound the product's size
-        ms, ws = ms[ws > cutoff], ws[ws > cutoff]
-        if shifts.size * ms.size > _PRODUCT_CAP:
-            raise NumericalError(f"the line product would hold "
-                                 f"{shifts.size * ms.size} elements "
-                                 f"(limit {_PRODUCT_CAP})")
+        ms, ws = ms[ws > LINE_CUTOFF], ws[ws > LINE_CUTOFF]
+        if (size := shifts.size * ms.size) > _PRODUCT_CAP:
+            raise NumericalError(f"the line product would hold {size} "
+                                 f"elements (limit {_PRODUCT_CAP})")
         # channel displacement per net quanta: Stokes -sqrt(m),
         # anti-Stokes +sqrt(|m|) amplified
         qs = np.where(ms >= 0, -np.sqrt(np.abs(ms)),
@@ -190,7 +186,7 @@ def _enumerate_lines(model: EmitterModel, cutoff: float = 1e-9):
         shifts = (shifts[:, None] + ms[None, :] * mode.energy_mev).ravel()
         weights = (weights[:, None] * ws[None, :]).ravel()
         dip = (dip[:, None] + qs[None, :] * grad).ravel()
-        keep = weights > cutoff
+        keep = weights > LINE_CUTOFF
         shifts, weights, dip = shifts[keep], weights[keep], dip[keep]
         if shifts.size > MAX_LINES:
             raise NumericalError(f"more than {MAX_LINES} vibronic lines")
@@ -211,40 +207,32 @@ def _axis_cos_sin(x, y):
 def _line_reach(model: EmitterModel, budget: float) -> tuple:
     """(profile, wing) reach in meV of one line of unit weight.
 
-    The wing reach R_w has rho(R_w) = budget/16 on the falling side of the
-    wing rho(d) = w_s d/c^2 e^{-d/c} (the anti-Stokes wing is lower).  The
-    profile reach R_p has (1/FWHM + 2 rho_max) e^{-R_p^2 / 2 sigma^2} =
-    budget/16 for a Gaussian profile (peak below 1/FWHM), rho_max =
-    w_s / (e c); the Lorentzian tail is algebraic, so its R_p is infinite.
-    ``budget`` is a float, so a ratio that overflows is inf, not a warning.
+    The wing reach R_w has rho(R_w) <= budget/16 on the falling side of the
+    wing rho(d) = w_s d/c^2 e^{-d/c} (the anti-Stokes wing is lower): R_w =
+    c (L + ln(L + ln L + 1)), L = ln(16 w_s/(budget c)), or c where L <= 1.
+    x0 = L + ln L + 1 is not below the root of x - ln x = L, as ln L + 1 <=
+    (e - 1) L, and x0 -> L + ln x0 stays above it: R_w is never short, by
+    1.4e-3 c or more down to budget c/(16 w_s) = 1e-300, and over-reaches
+    by at most c ln 2, and by at most 0.3% where budget c/(16 w_s) <= 1e-6.
+    The profile reach R_p has (1/FWHM + 2 rho_max) e^{-R_p^2 / 2 sigma^2} =
+    budget/16 (Gaussian; its peak is below 1/FWHM), rho_max = w_s/(e c);
+    the Lorentzian tail is algebraic, so its R_p is infinite.  ``budget``
+    is a float, so a ratio that overflows is inf, not a warning.
     """
     if not budget > 0:
         return np.inf, np.inf
     w_s, c = model.acoustic_coupling, model.acoustic_cutoff
-    reach_w = c * _falling_root(budget * c / (16.0 * w_s)) if w_s > 0 else 0.0
+    reach_w = 0.0
+    if w_s > 0:
+        a = budget * c / (16.0 * w_s)
+        big = -math.log(a) if a > 0 else math.inf                   # L
+        reach_w = c * (big + math.log(big + math.log(big) + 1.0)
+                       if big > 1 else 1.0)
     if model.zpl_profile != "gaussian":
         return np.inf, reach_w
     sig = model.zpl_linewidth / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     ratio = 16.0 * (1.0 / model.zpl_linewidth + 2.0 * w_s / (math.e * c)) / budget
     return sig * np.sqrt(2.0 * np.log(max(ratio, 1.0))), reach_w
-
-
-def _falling_root(a: float) -> float:
-    """x >= 1 with x e^{-x} = a (1 where a >= 1/e, inf where a = 0).
-
-    Newton on the convex f(x) = x - ln x - L, L = ln(1/a), started above
-    the root at 1 + L + ln L, falls to it; the result is then raised by the
-    rounding error of f over f'(x), so the reach it sets is never short."""
-    if not 0 < a < math.exp(-1.0):
-        return 1.0 if a > 0 else math.inf
-    big = -math.log(a)
-    x = 1.0 + big + math.log(big)
-    for _ in range(100):
-        step = x * (x - math.log(x) - big) / (x - 1.0)
-        if not step > 1e-16 * x:
-            break
-        x -= step
-    return x * (1.0 + 2e-15 * x / max(x - 1.0, 1e-8))
 
 
 def _jitter_dolp(model: EmitterModel) -> float:
@@ -254,24 +242,24 @@ def _jitter_dolp(model: EmitterModel) -> float:
     return float(np.exp(-2.0 * sigma_jit * sigma_jit))  # float: no warning
 
 
-def _stick_signal(shifts, coef, tau, lo: float, d: float) -> np.ndarray:
-    """sum_i coef[:, i] e^{-i shifts_i tau} at the renderer's frequencies:
-    a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46, 443 (2004)) spreads each
-    stick periodically onto the lattice lo + j h, h = d/2, by e^{-x^2 / 2
-    (2h)^2} cut at +-16 h, and divides the real FFT, up to the Nyquist pi/d
-    of the renderer, by the kernel's transform.  The cut drops 4e-15 of a
-    stick (2 e^{-16.5^2/8}), aliasing adds 7e-18 (e^{-4 pi^2}); the division
-    raises both 139-fold (e^{pi^2/2}) at pi/d, where the profile is below
-    e^{-5.8 pi^2} (Gaussian, d <= FWHM/8) or e^{-4 pi} (Lorentzian)."""
+def _stick_signal(shifts, coef, tau, lo: float, d: float, n: int):
+    """sum_i coef[:, i] e^{-i (shifts_i - lo) tau}, in the frame of the
+    renderer's lattice lo + j d, j < n: a type-1 NUFFT (Greengard & Lee,
+    SIAM Rev. 46, 443 (2004)) spreads each stick periodically onto the 2n
+    points lo + j h, h = d/2, by e^{-x^2 / 2 (2h)^2} cut at +-16 h, and
+    divides the real FFT at tau, up to the Nyquist pi/d, by the kernel's
+    transform.  The cut drops 4e-15 of a stick (2 e^{-16.5^2/8}), aliasing
+    adds 7e-18 (e^{-4 pi^2}); the division raises both 139-fold (e^{pi^2/2})
+    at pi/d, where the profile is below e^{-5.8 pi^2} (Gaussian, d <=
+    FWHM/8) or e^{-4 pi} (Lorentzian)."""
     u = 2.0 * (shifts - lo) / d
     near = np.rint(u)
     steps = np.arange(-16, 17)
-    idx = ((near[:, None] + steps) % (4 * (tau.size - 1))).astype(np.int64)
+    idx = ((near[:, None] + steps) % (2 * n)).astype(np.int64)
     kern = np.exp(-np.square((near - u)[:, None] + steps) / 8.0)
     f = np.stack([np.bincount(idx.ravel(), (kern * c[:, None]).ravel(),
-                              minlength=4 * (tau.size - 1)) for c in coef])
-    deconv = (np.exp(0.5 * np.square(d * tau)) / (2.0 * np.sqrt(2.0 * np.pi))
-              * _phase_ramp(lo * tau[1], tau.size))
+                              minlength=2 * n) for c in coef])
+    deconv = np.exp(0.5 * np.square(d * tau)) / (2.0 * np.sqrt(2.0 * np.pi))
     return np.fft.rfft(f)[:, :tau.size] * deconv
 
 
@@ -279,8 +267,7 @@ def _wing_residual(model: EmitterModel, shifts, weights, dip, lo: float,
                    d: float, n: int, span: tuple, reach_w: float):
     """(s1, s2) of the wing rotation residual at the n lattice points lo + j d
     in span (0 elsewhere), from the lines within reach_w of each."""
-    grad = _vector(model.acoustic_gradient, model.acoustic_direction)
-    gx, gy = grad.real, grad.imag
+    g = _vector(model.acoustic_gradient, model.acoustic_direction)
     bx, by = dip.real, dip.imag    # the loop stays real: complex is slower
     q_unit = (thermal_amplification(model) * np.sign(model.strain_bias)
               / np.sqrt(model.acoustic_cutoff))
@@ -303,8 +290,8 @@ def _wing_residual(model: EmitterModel, shifts, weights, dip, lo: float,
         # acoustic displacement: Stokes -q, anti-Stokes +q amplified
         q_ac = np.sqrt(np.abs(delta)) * np.where(
             delta >= 0, -q_unit, (1.0 + ANTI_STOKES_AMPLIFICATION) * q_unit)
-        c2, sn2 = _axis_cos_sin(bx[sl, None] + gx * q_ac,
-                                by[sl, None] + gy * q_ac)
+        c2, sn2 = _axis_cos_sin(bx[sl, None] + g.real * q_ac,
+                                by[sl, None] + g.imag * q_ac)
         j = np.minimum(first[sl, None] + steps, j_hi).astype(np.int64).ravel()
         out[0] += np.bincount(j, (rho * (c2 - c2_0[sl, None])).ravel(), n)
         out[1] += np.bincount(j, (rho * (sn2 - s2_0[sl, None])).ravel(), n)
@@ -330,13 +317,12 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     kept = (shifts >= d_lo - reach) & (shifts <= d_hi + reach)
     shifts, coef, dip = shifts[kept], coef[:, kept], dip[kept]
 
-    def g_builder(tau, lo, d):
-        g = _stick_signal(shifts, coef, tau, lo, d) * _wing_factor(model, tau)
+    def g_builder(tau, lo, d, n):
+        g = _stick_signal(shifts, coef, tau, lo, d, n) * _wing_factor(model, tau)
         if thermal_amplification(model) * model.strain_bias != 0:
-            res = _wing_residual(model, shifts, coef[0], dip, lo, d,
-                                 2 * (tau.size - 1), (d_lo - reach_p,
-                                                      d_hi + reach_p), reach_w)
-            g[1:] += d * np.fft.rfft(res) * _phase_ramp(lo * tau[1], tau.size)
+            res = _wing_residual(model, shifts, coef[0], dip, lo, d, n,
+                                 (d_lo - reach_p, d_hi + reach_p), reach_w)
+            g[1:] += d * np.fft.rfft(res)[:, :tau.size]
         return g
 
     s = _render_shift_spectrum(model, grid, g_builder, reach, _CHANNEL_POINTS)
@@ -379,9 +365,9 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
       Euler-Maclaurin formula for a branch singularity (Navot, J. Math.
       Phys. 40, 271 (1961)).
     - s0 has no residual: a NumericalError is raised where |s0 - weight|
-      exceeds (the weight below the line cutoff + 1e-12) x 1/FWHM (above
-      the profile's peak) plus the tail budget, which covers the lines
-      beyond R.
+      exceeds (the weight of the lines at or below LINE_CUTOFF + 1e-12) x
+      1/FWHM (above the profile's peak) plus the tail budget, which covers
+      the lines beyond R.
     """
     weight = lineshape_density(model, grid)
     s0, s1, s2 = _stokes_sums(apply_strain_bias(model), grid, weight)

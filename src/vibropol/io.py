@@ -119,16 +119,18 @@ def write_map(path, pmap: PolarizationMap, config: dict | None = None) -> None:
 
 
 def read_map(path) -> PolarizationMap:
+    """The map of a file with one row per (energy, angle) cell, in any
+    order; a cell that is missing or repeated is refused."""
     data, _ = _read_rows(path, "energy_ev,angle_deg,intensity")
-    energies = np.unique(data[:, 0])
-    angles = np.unique(data[:, 1])
-    if energies.size * angles.size != data.shape[0]:
-        raise ValidationError("map file is not a complete energy x angle grid")
-    inten = data[:, 2].reshape(energies.size, angles.size)
-    # rows are written row-major over energy then angle
-    order = np.argsort(data[: angles.size, 1])
-    return PolarizationMap(_grid_from_energies(energies), angles,
-                           inten[:, order])
+    energies, row = np.unique(data[:, 0], return_inverse=True)
+    angles, col = np.unique(data[:, 1], return_inverse=True)
+    cell = row * angles.size + col
+    inten = np.empty((energies.size, angles.size))
+    if np.any(np.bincount(cell, minlength=inten.size) != 1):
+        raise ValidationError("map file is not a complete energy x angle "
+                              "grid: a cell is missing or repeated")
+    inten.flat[cell] = data[:, 2]
+    return PolarizationMap(_grid_from_energies(energies), angles, inten)
 
 
 MODE_HEADER = "energy_mev,partial_hr,partial_dq,grad_magnitude,grad_direction_deg"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PRESET_NAMES, load_preset
-from .core import (EmitterModel, EnergyGrid, NumericalError,
+from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, PolarizationMap, ValidationError,
                    _energy_bins, _stokes_psi_dop_chi, make_grid, slice_map,
                    wrap_orientation, wrap_orientation_scalar)
@@ -254,7 +254,8 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
     weight, the lineshape intensity, polarized with the channel psi and
     DOLP) is rendered through an ideal rotating analyzer or the RQWP
     formula.  ``counts_per_point`` sets the expected counts at the map
-    maximum; poisson noise uses a seeded deterministic generator.
+    maximum; poisson noise uses a seeded deterministic generator.  A map
+    of more than MAX_GRID_POINTS cells is refused before any is computed.
     """
     if mode not in ("analyzer", "rqwp"):
         raise ValidationError(f"unknown map mode {mode!r}")
@@ -265,6 +266,10 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
     if noise == "poisson" and counts_per_point > POISSON_MAX_COUNTS:
         raise ValidationError(
             f"poisson noise needs counts_per_point <= {POISSON_MAX_COUNTS:g}")
+    n_angle = np.size(angles_deg)
+    if not grid.n_points * n_angle <= MAX_GRID_POINTS:
+        raise ValidationError(f"a map of {grid.n_points} energies x {n_angle} "
+                              f"angles exceeds {MAX_GRID_POINTS} cells")
     return _render_map(orientation_vs_energy(model, grid), angles_deg, mode,
                        counts_per_point, noise, seed)
 

@@ -200,7 +200,9 @@ def _span_estimate(model: EmitterModel):
         return (np.log(wing / knorm) + (sigma * t) ** 2 / 2
                 + _mode_cgf(s, n, t[..., None] * w).sum(axis=-1))
 
-    kappa2 = sigma * sigma + np.sum(s * (2 * n + 1) * w * w) + 6 * c * c * w_s
+    with np.errstate(over="ignore"):            # inf: no finite span
+        kappa2 = (sigma * sigma + np.sum(s * (2 * n + 1) * w * w)
+                  + 6 * c * c * w_s)
     tails = _chernoff(cgf, kappa2, -math.log(TAIL_WEIGHT))
     anti, stokes = (np.concatenate(([0.0] if cold else [], tails))
                     + (500.0 * model.zpl_linewidth if lorentz else 0.0))
@@ -231,11 +233,13 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
                            reach: float = np.inf, limit: float = np.inf):
     """Exact samples of the density (1/meV) at the photon energies of grid.
 
-    g_builder(tau, lo, d) returns the time signal, wing included, of one
-    density (or one per row) on the lattice lo + j d of step d = s/k, s the
-    grid spacing and k = ceil(8 s / linewidth); the ZPL profile multiplies
-    it here.  The lattice holds every shift D = E_ZPL - E of the grid, read
-    off by slicing, and is padded to a fast FFT size n.  At finite reach it
+    g_builder(tau, lo, d, n) returns the time signal, wing included, of
+    one density (or one per row) in the frame of the lattice lo + j d, j <
+    n: a line at shift D = E_ZPL - E is e^{-i (D - lo) tau}.  d = s/k, s
+    the grid spacing and k = ceil(8 s / linewidth); tau holds only the
+    frequencies ``_profile_cut`` keeps, and the ZPL profile multiplies the
+    signal here.  The lattice holds every shift D of the grid, read off by
+    slicing, and is padded to a fast FFT size n.  At finite reach it
     spans [D_min - reach, D_max + reach].  At infinite reach the band
     [-anti, stokes] holds all but TAIL_WEIGHT a side (``_span_estimate``):
       Gaussian: the lattice starts at D_min, with P = n d >= max(stokes -
@@ -254,8 +258,9 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
         sum_{m != 0} Gamma/(2 pi (delta + m P)^2) per unit line weight.
     The tau (step t = 2 pi/P) past ``_profile_cut`` hold at most e^{-40} (t
     + 1/r)/pi per sample and unit weight, r = sqrt(80) sigma (Gaussian) or
-    Gamma/2; the shift e^{i lo tau}, a ``_phase_ramp``, adds at most (|lo|
-    pi/d + 8) 2^-53 of the profile's peak.  Past min(limit, MAX_GRID_POINTS)
+    Gamma/2.  A builder of shifts from the ZPL moves them to the lattice
+    by e^{i lo tau}, a ``_phase_ramp``, which adds at most (|lo| pi/d + 8)
+    2^-53 of the profile's peak.  Past min(limit, MAX_GRID_POINTS)
     points it raises, naming a spacing or linewidth that fits.  Only the
     first row, the intensity, is clipped at 0."""
     s = grid.spacing * 1e3
@@ -295,9 +300,9 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
             f"grid spacing to {finest * 1e-3:.3g} eV"))
     n, k, m0 = _fft_size(int(need)), int(k), int(m0)
     tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)            # 1/meV
-    cut = _profile_cut(model, tau)
-    g = (g_builder(tau, lo, d)[..., :cut] * _phase_ramp(-lo * tau[1], cut)
-         * _profile_factor(tau[:cut], model.zpl_linewidth, model.zpl_profile))
+    tau = tau[:_profile_cut(model, tau)]
+    g = (g_builder(tau, lo, d, n)
+         * _profile_factor(tau, model.zpl_linewidth, model.zpl_profile))
     dens = np.fft.irfft(g, n) / d                  # zero-padded past the cut
     out = np.array(dens[..., m0:m0 + (grid.n_points - 1) * k + 1:k][..., ::-1])
     intensity = out if out.ndim == 1 else out[0]
@@ -345,16 +350,15 @@ def lineshape_density(model: EmitterModel, grid: EnergyGrid) -> np.ndarray:
     n_occ = [bose_occupation(m.energy_mev, model.temperature)
              for m in model.modes]
 
-    def g_builder(tau, *_):
+    def g_builder(tau, lo, *_):
         # log G = sum_k S_k [(2 n_k + 1)(cos w_k t - 1) - i sin w_k t]
-        cut = _profile_cut(model, tau)
         g = np.zeros(tau.size, dtype=complex)
         for m, n in zip(model.modes, n_occ):
-            z = _phase_ramp(m.energy_mev * tau[1], cut)
+            z = _phase_ramp(m.energy_mev * tau[1], tau.size)
             z.real = (2.0 * n + 1.0) * (z.real - 1.0)
-            g[:cut] += m.partial_hr * z
-        g[:cut] = np.exp(g[:cut]) * _wing_factor(model, tau[:cut])
-        return g
+            g += m.partial_hr * z
+        return (np.exp(g) * _wing_factor(model, tau)
+                * _phase_ramp(-lo * tau[1], tau.size))
 
     return _render_shift_spectrum(model, grid, g_builder)
 
@@ -435,11 +439,12 @@ def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
     if not abs(kept - 1.0) <= 1e-3:
         raise NumericalError(f"the tables keep {kept:.8f} of the weight")
 
-    def g_builder(tau, *_):
+    def g_builder(tau, lo, *_):
         g = np.ones_like(tau, dtype=complex)
         for mode, (ms, ws) in zip(model.modes, tables):
             g *= sum(w * _phase_ramp(m * mode.energy_mev * tau[1], tau.size)
                      for m, w in zip(ms, ws))
-        return g * _wing_factor(model, tau)
+        return (g * _wing_factor(model, tau)
+                * _phase_ramp(-lo * tau[1], tau.size))
 
     return Spectrum(grid, _render_shift_spectrum(model, grid, g_builder))

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vibropol.cli as cli
 import vibropol.dipole as dipole
+import vibropol.polarimetry as polarimetry
 from vibropol.cli import main
 from vibropol.io import (read_map, read_spectrum, write_rqwp_trace,
                          _read_rows)
@@ -507,6 +508,23 @@ def test_channel_render_size_is_checked_before_it_is_allocated(
     assert spread and out.exists()
 
 
+def test_oversized_map_is_refused_before_the_curve(tmp_path, capsys,
+                                                  monkeypatch):
+    # 601 energies x 6,980 angles is just over 2^22 cells: it exits 2 with
+    # one line before the forward curve is computed
+    calls = []
+    monkeypatch.setattr(polarimetry, "orientation_vs_energy",
+                        lambda *a: calls.append(1))
+    out = tmp_path / "map.csv"
+    assert _run(["simulate-map", "--preset", "strong_coupling", "--grid",
+                 "1.818:1.878:601", "--angles", "0:6979:1", "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: validation: a map of 601 energies x 6980 angles "
+                   "exceeds 4194304 cells\n")
+    assert not calls and not out.exists()
+
+
 def test_subnormal_linewidth_is_a_numerical_error(tmp_path, capsys):
     # linewidth/8 underflowed to 0 and the lattice step divided by it
     # (was ZeroDivisionError)
@@ -816,3 +834,15 @@ def test_extreme_wing_config_prints_only_the_error_line(tmp_path, argv, lines,
     assert _cli_in_own_interpreter([
         *argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
         "--quiet"]) == (code, err)
+
+
+def test_extreme_mode_energy_prints_only_the_error_line(tmp_path):
+    # the span's second cumulant overflowed (vibronic._span_estimate) and
+    # printed a RuntimeWarning before the error line
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1\n"
+                   "mode1 = 1e300, 1, 0.2, 0.1, 0\n")
+    assert _cli_in_own_interpreter([
+        "spectrum", "--config", str(cfg), "--grid", "1.80:1.86:61", "--out",
+        str(tmp_path / "out.csv"), "--quiet"]) == (
+        3, "error: numerical: renderer window is not finite\n")

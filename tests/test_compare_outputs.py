@@ -38,7 +38,9 @@ def test_differing_rows_are_counted_against_the_column_peak(tmp_path):
     b.write_text("# x = 1\nenergy_ev,intensity\n1.0,2.0\n1.1,4.0\n1.2,1.2\n")
     assert tool.compare(a, a) == "identical"
     assert tool.compare(a, b) == ("differs  rows 1/3  max 5.00e-02 of peak, "
-                                  "2.00e-01 absolute (intensity)")
+                                  "2.00e-01 absolute (intensity)  absolute "
+                                  "by column: energy_ev 0.00e+00, "
+                                  "intensity 2.00e-01")
     b.write_text("# x = 1\nenergy_ev,intensity\n1.0,2.0\n")
     assert tool.compare(a, b).startswith("differs  columns or row count")
 
@@ -50,15 +52,19 @@ def test_nan_to_number_and_text_columns_are_reported(tmp_path):
     b.write_text("energy_ev,psi_deg\n1.0,3.0\n1.1,5.0\n")
     assert tool.compare(a, b) == ("differs  rows 1/2  max 0.00e+00 of peak, "
                                   "0.00e+00 absolute (energy_ev)  "
-                                  "NaN <-> number: psi_deg")
+                                  "NaN <-> number: psi_deg  absolute by "
+                                  "column: energy_ev 0.00e+00, psi_deg "
+                                  "0.00e+00")
     # the numeric columns of a text table are compared; text ones skipped
     a.write_text("case,metric,value,pass\nmap,sweep,1.5,PASS\n")
     b.write_text("case,metric,value,pass\nmap,sweep,1.6,FAIL\n")
     assert tool.compare(a, b) == ("differs  rows 1/1  max 6.67e-02 of peak, "
-                                  "1.00e-01 absolute (value)")
+                                  "1.00e-01 absolute (value)  absolute by "
+                                  "column: value 1.00e-01")
     b.write_text("case,metric,value,pass\nmap,area,1.5,PASS\n")
     assert tool.compare(a, b) == ("differs  rows 1/1  max 0.00e+00 of peak, "
-                                  "0.00e+00 absolute (value)")
+                                  "0.00e+00 absolute (value)  absolute by "
+                                  "column: value 0.00e+00")
 
 
 def test_a_tree_without_the_package_is_an_error(tmp_path, capsys):

@@ -429,8 +429,8 @@ def _profile(model, delta, period):
 def _dense_stokes(model, grid, near=10.0):
     """Reference (s0, s1, s2) and the residual's stated bound on the grid.
 
-    Sticks: the direct sum sum_i c_i e^{-i s_i tau} times the wing factor
-    at every lattice tau, rendered on a lattice twice the code's reach.
+    Sticks: the direct sum sum_i c_i e^{-i (s_i - lo) tau} times the wing
+    factor at every kept tau, rendered on a lattice twice the code's reach.
     Residual: quadrature on a 16x finer lattice for the lines within
     ``near`` meV of the window, and on the code's lattice for the others,
     convolved with the profile by direct summation.
@@ -442,9 +442,9 @@ def _dense_stokes(model, grid, near=10.0):
                                      vy[kept], coef[:, kept])
     lattice = {}
 
-    def builder(tau, lo, d):
-        lattice.update(lo=lo, d=d, n=2 * (tau.size - 1))
-        return _direct_sticks(shifts, coef, tau) * _wing_factor(eff, tau)
+    def builder(tau, lo, d, n):
+        lattice.update(lo=lo, d=d, n=n)
+        return _direct_sticks(shifts - lo, coef, tau) * _wing_factor(eff, tau)
 
     s = vibronic._render_shift_spectrum(eff, grid, builder,
                                         2 * (reach_p + reach_w))
@@ -638,17 +638,27 @@ def test_huang_rhys_factor_beyond_the_table_raises():
 
 
 def test_wing_root_never_below_lambert_w():
+    # R_w = c x, x e^{-x} = a = budget c/(16 w_s) on the falling branch:
+    # the closed form is above W_-1 by 1.4e-3 or more, and above it by at
+    # most ln 2, and by at most 0.3% where a <= 1e-6
+    model = load_preset("strong_coupling")
+    w_s, c = model.acoustic_coupling, model.acoustic_cutoff
     a = np.concatenate([np.logspace(-300, np.log10(0.3), 1500),
                         np.linspace(0.3, math.exp(-1.0), 500, endpoint=False),
                         math.exp(-1.0) * (1.0 - np.logspace(-15, -1, 100))])
-    a = a[a < math.exp(-1.0)]
-    x = np.array([dipole._falling_root(v) for v in a])
+    budget = 16.0 * w_s * a / c
+    a = budget * c / (16.0 * w_s)           # as _line_reach forms it
+    keep = a < math.exp(-1.0)
+    a, budget = a[keep], budget[keep]
+    x = np.array([dipole._line_reach(model, b)[1] for b in budget]) / c
     ref = -lambertw(-a, -1).real
-    rel = (x - ref) / ref
-    assert rel.min() >= -1e-14
-    assert np.abs(rel[a <= 0.3]).max() <= 1e-12
-    assert dipole._falling_root(0.5) == 1.0
-    assert dipole._falling_root(0.0) == math.inf
+    assert (x - ref).min() >= 1.4e-3
+    assert (x - ref).max() <= math.log(2.0)
+    assert ((x - ref) / ref)[a <= 1e-6].max() <= 3e-3
+    assert dipole._line_reach(model, 0.5 * 16.0 * w_s / c)[1] == c
+    assert dipole._line_reach(model, 5e-324)[1] == math.inf
+    nowing = replace(model, acoustic_coupling=0.0)
+    assert dipole._line_reach(nowing, 1e-18)[1] == 0.0
 
 
 @st.composite

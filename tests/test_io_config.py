@@ -5,8 +5,9 @@ import pytest
 
 from vibropol import (EmitterModel, PhononMode, Spectrum, ValidationError,
                       load_preset, make_grid, model_from_config,
-                      model_to_config)
+                      model_to_config, simulate_polarization_map)
 from vibropol import io
+from vibropol.cli import main
 from vibropol.config import parse_config, PRESET_NAMES
 from vibropol.core import OrientationCurve, PolarizationMap
 from vibropol.io import (FMT, MODE_HEADER, REPORT_HEADER, read_map,
@@ -37,6 +38,47 @@ def test_map_round_trip(tmp_path):
     back = read_map(path)
     assert np.allclose(back.intensity, pmap.intensity, rtol=1e-11)
     assert np.allclose(back.angles, angles)
+
+
+def _map_file(tmp_path):
+    """(path, comment and header lines, data lines as an energy x angle
+    array) of the strong 300 K map on ZPL +- 30 meV: 61 x 18 cells."""
+    model = load_preset("strong_coupling")
+    grid = make_grid(model.zpl_energy - 0.03, model.zpl_energy + 0.03, 61)
+    path = tmp_path / "m.csv"
+    write_map(path, simulate_polarization_map(model, grid,
+                                              np.arange(0.0, 180.0, 10.0)))
+    lines = path.read_text().splitlines()
+    return path, lines[:-61 * 18], np.array(lines[-61 * 18:]).reshape(61, 18)
+
+
+def test_map_rows_read_the_same_in_any_order(tmp_path):
+    # the reader took the rows as energy-major, ascending in energy, and
+    # sorted the angles of the first energy only: an angle-major copy read
+    # off by 1.0 of the peak, an energy-descending one by 0.095
+    path, head, rows = _map_file(tmp_path)
+    want = read_map(path)
+    for order in (rows.T, rows[::-1]):
+        copy = tmp_path / "copy.csv"
+        copy.write_text("\n".join([*head, *order.ravel()]) + "\n")
+        got = read_map(copy)
+        for x, y in ((got.intensity, want.intensity),
+                     (got.angles, want.angles),
+                     (got.grid.points, want.grid.points)):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_map_with_a_repeated_cell_exits_2(tmp_path, capsys):
+    # the last row repeats the first, so the last cell is missing, yet the
+    # energies and angles still span 61 x 18 rows: it was read as a map
+    path, head, rows = _map_file(tmp_path)
+    rows[-1, -1] = rows[0, 0]
+    path.write_text("\n".join([*head, *rows.ravel()]) + "\n")
+    with pytest.raises(ValidationError, match="missing or repeated"):
+        read_map(path)
+    assert main(["analyze-map", "--in", str(path), "--out",
+                 str(tmp_path / "r.csv"), "--quiet"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_mode_table_round_trip(tmp_path):

@@ -351,12 +351,13 @@ def _unclipped_density(model, grid):
     occ = [(m, bose_occupation(m.energy_mev, model.temperature))
            for m in model.modes]
 
-    def g_builder(tau, *_):
+    def g_builder(tau, lo, *_):
         log_g = sum(m.partial_hr * ((2.0 * n + 1.0) * np.cos(m.energy_mev * tau)
                                     - 2.0 * n - 1.0
                                     - 1j * np.sin(m.energy_mev * tau))
                     for m, n in occ)
-        g = np.exp(log_g) * vibronic._wing_factor(model, tau)
+        g = (np.exp(log_g) * vibronic._wing_factor(model, tau)
+             * vibronic._phase_ramp(-lo * tau[1], tau.size))
         return np.stack([g, g])
 
     return vibronic._render_shift_spectrum(model, grid, g_builder)[1]
@@ -369,13 +370,14 @@ def _cos_sin_builder(model):
     occ = [(m, bose_occupation(m.energy_mev, model.temperature))
            for m in model.modes]
 
-    def g_builder(tau, *_):
+    def g_builder(tau, lo, *_):
         re, im = np.zeros_like(tau), np.zeros_like(tau)
         for m, n in occ:
             x = m.energy_mev * tau
             re += m.partial_hr * (2.0 * n + 1.0) * (np.cos(x) - 1.0)
             im -= m.partial_hr * np.sin(x)
-        return np.exp(re + 1j * im) * vibronic._wing_factor(model, tau)
+        return (np.exp(re + 1j * im) * vibronic._wing_factor(model, tau)
+                * vibronic._phase_ramp(-lo * tau[1], tau.size))
 
     return g_builder
 
@@ -452,13 +454,12 @@ def _lattice(model, grid):
     """(n, d) of the renderer's lattice for grid"""
     seen = []
 
-    def g_builder(tau, *_):
-        seen.append(tau)
+    def g_builder(tau, lo, d, n):
+        seen.append((n, d))
         return np.ones(tau.size, dtype=complex)
 
     vibronic._render_shift_spectrum(model, grid, g_builder)
-    n = 2 * (seen[0].size - 1)
-    return n, 2.0 * np.pi / seen[0][1] / n
+    return seen[0]
 
 
 # the Lorentzian full-band lattice, which spans the grid plus the band a side

@@ -20,8 +20,10 @@ its own scratch directory, with the same relative file names, so the
 One line per file: ``identical``, or ``differs`` with the number of data
 rows that differ out of A's, then the largest deviation in a numeric column
 relative to that column's peak |value| in A, that column's largest
-absolute deviation and its name, and the names of the columns where a cell
-changes between NaN and a number.  A column is numeric when every cell of
+absolute deviation and its name, the names of the columns where a cell
+changes between NaN and a number, and the largest absolute deviation of
+every numeric column, so that a small move of psi shows beside a column
+whose peak is rounding noise.  A column is numeric when every cell of
 it parses as a number in both files; text columns are skipped.
 Exits 0 when every file is identical, 1 when some differ, and 2 when a
 tree holds no ``vibropol`` or fails to run a command.
@@ -137,7 +139,7 @@ def compare(a: Path, b: Path) -> str:
     cells = [[r.split(",") for r in rows] for rows in (rows_a, rows_b)]
     if any(len(r) != len(names) for rows in cells for r in rows):
         return text + "  (rows of unequal length)"
-    worst, flips = None, []
+    worst, flips, devs = None, [], []
     for name, col_a, col_b in zip(names, zip(*cells[0]), zip(*cells[1])):
         x, y = _numbers(col_a), _numbers(col_b)
         if x is None or y is None:
@@ -146,6 +148,7 @@ def compare(a: Path, b: Path) -> str:
             flips.append(name)
         with np.errstate(invalid="ignore"):
             dev = np.nanmax(np.abs(x - y), initial=0.0)
+        devs.append(f"{name} {dev:.2e}")
         peak = np.nanmax(np.abs(x), initial=0.0)
         rel = dev / peak if dev > 0 else 0.0
         if worst is None or rel > worst[0]:
@@ -154,7 +157,8 @@ def compare(a: Path, b: Path) -> str:
         return text + "  (no numeric column)"
     rel, dev, name = worst
     text += f"  max {rel:.2e} of peak, {dev:.2e} absolute ({name})"
-    return text + (f"  NaN <-> number: {','.join(flips)}" if flips else "")
+    text += f"  NaN <-> number: {','.join(flips)}" if flips else ""
+    return text + f"  absolute by column: {', '.join(devs)}"
 
 
 def main(argv=None) -> int:
