@@ -6,8 +6,8 @@ homogeneous Poisson process; an ideal 50:50 splitter routes every
 detection to one of two channels.  The pulsed g2(0) estimator divides
 the center-peak coincidence sum by the mean side-peak sum, the standard
 normalization for pulsed antibunching values.  Pulses are skip-sampled,
-the stream is built in place and coincidences are counted in offset
-passes over fixed blocks of tags: memory is the stream plus a fixed block.
+the stream is drawn in 2^16-tag chunks into one buffer (peak: 1.26x the
+stream) and counted in offset passes over 2^16-tag blocks (plus 2.6 MB).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .core import MAX_GRID_POINTS, ValidationError
 MAX_STREAM_EVENTS = 2 ** 28
 # tag comparisons g2_histogram may make: offset passes times tags
 MAX_PASS_WORK = 2 ** 30
-_BLOCK_TAGS = 2 ** 18     # tags per block of g2_histogram's offset passes
+_BLOCK_TAGS = 2 ** 16     # tags per draw chunk and per g2_histogram block
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ def simulate_stream(signal_prob: float, background_rate: float,
 
     signal_prob is the per-pulse detection probability of the emitter
     photon; background_rate is in counts/s.  Deterministic under a fixed
-    seed.  The gaps between emitting pulses are geometric variates.
+    seed.  The gaps between emitting pulses are geometric variates.  Tags
+    go straight into one buffer, gaps and delays in _BLOCK_TAGS chunks.
     """
     if not 0.0 <= signal_prob <= 1.0:
         raise ValidationError("signal_prob must lie in [0, 1]")
@@ -84,21 +85,32 @@ def simulate_stream(signal_prob: float, background_rate: float,
                               f"background counts (limit {MAX_STREAM_EVENTS})")
     rng = np.random.default_rng(seed)
     n_pulses = int(duration_s * rep_rate_mhz * 1e6)
-    # hit indices: -1 plus geometric gaps, clipped so the sum cannot wrap
-    hits = [np.array([-1])]
+    mu = background_rate * duration_s
     block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
-    while signal_prob > 0 and hits[-1][-1] < n_pulses - 1:
-        hits.append(rng.geometric(signal_prob, block))
-        np.minimum(hits[-1], n_pulses + 1, out=hits[-1])
-        np.cumsum(hits[-1], out=hits[-1])
-        hits[-1] += hits[-2][-1]
-    hits = hits[1] if len(hits) == 2 else np.concatenate(hits)[1:]
-    t = hits[:np.searchsorted(hits, n_pulses)] * period_ns     # signal
-    del hits
-    t += rng.exponential(lifetime_ns, t.size)
-    bg = rng.random(rng.poisson(background_rate * duration_s))
+    # one buffer for every tag, sized to a gap batch's hits plus a 12-sigma
+    # bound on the background count, and grown only past that
+    spare = int(mu + 12.0 * np.sqrt(mu)) + 64
+    buf, n, last = np.empty(block + spare), 0, -1    # n tags, last hit
+    # hits: -1 plus gaps, clipped so sums cannot wrap; batches drawn whole
+    while signal_prob > 0 and last < n_pulses - 1:
+        if n + block + spare > buf.size:
+            buf.resize(n + block + spare, refcheck=False)   # no view alive
+        for lo in range(0, block, _BLOCK_TAGS):
+            gaps = rng.geometric(signal_prob, min(_BLOCK_TAGS, block - lo))
+            np.minimum(gaps, n_pulses + 1, out=gaps)
+            np.cumsum(gaps, out=gaps); gaps += last
+            m = np.searchsorted(gaps, n_pulses)
+            np.multiply(gaps[:m], period_ns, out=buf[n:n + m])
+            n, last = n + m, gaps[-1]
+    for lo in range(0, n, _BLOCK_TAGS):    # emission delays
+        k = min(_BLOCK_TAGS, n - lo)
+        buf[lo:lo + k] += rng.exponential(lifetime_ns, k)
+    n_bg = rng.poisson(mu)
+    if n + n_bg > buf.size:
+        buf.resize(n + n_bg, refcheck=False)
+    bg = rng.random(out=buf[n:n + n_bg])
     bg.sort(); bg *= duration_s; bg *= 1e9
-    t = np.concatenate([t, bg])
+    t = buf[:n + n_bg]      # a view: shrinking buf would fragment the heap
     # the stable sort merges the two (nearly) sorted runs in O(n)
     t.sort(kind="stable"); t *= 1e3
     ch = rng.integers(0, 2, t.size, dtype=np.int8)
@@ -149,19 +161,22 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
     hist, peaks = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 1, int)
     for lo in starts:
-        t, c = tags[lo:lo + reach] * 1e-3, ch[lo:lo + reach]
-        for j in range(1, t.size):
+        t, c, taus = tags[lo:lo + reach] * 1e-3, ch[lo:lo + reach], []
+        for j in range(1, t.size + 1):
             e = min(_BLOCK_TAGS, t.size - j)   # pairs (i, i + j), i in block
             d = t[j:j + e] - t[:e]
             near = d <= window_ns
+            # np.histogram costs per call: count about a block's delays at once
+            if not near.any() or sum(map(len, taus)) >= _BLOCK_TAGS:
+                tau, taus = np.concatenate([np.empty(0), *taus]), []
+                hist += np.histogram(tau, bins=edges)[0]
+                k = np.rint(tau / rep_period_ns).astype(int)
+                peaks += np.bincount(k[abs(k) <= k_max] + k_max,
+                                     minlength=peaks.size)
             if not near.any():
                 break
             i = np.flatnonzero(near & (c[j:j + e] != c[:e]))
-            tau = np.where(c[i], -d[i], d[i])     # t1 - t0
-            hist += np.histogram(tau, bins=edges)[0]
-            k = np.rint(tau / rep_period_ns).astype(int)
-            peaks += np.bincount(k[abs(k) <= k_max] + k_max,
-                                 minlength=peaks.size)
+            taus.append(np.where(c[i], -d[i], d[i]))     # t1 - t0
     center_sum = int(peaks[k_max])
     side_sums = np.delete(peaks, k_max).astype(float)   # 2 k_max >= 8 peaks
     mean_side = side_sums.mean()

@@ -331,3 +331,48 @@ def test_g2_memory_is_the_stream_plus_a_fixed_block():
         peaks.append(_traced_peak(g2_histogram, stream, 0.5, 500.0, 50.0)[1])
     # 4x the tags add 11.5 MB to the stream; the count's working set stays
     assert peaks[1] <= peaks[0] + 2e6
+
+
+# the same builds in chunks of 1000 tags, so that gap batches, delay chunks
+# and the background straddle the chunk edges of simulate_stream's draws
+_BUILD_CASES = test_in_place_build_is_bit_identical.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_BUILD_CASES.args, **_BUILD_CASES.kwargs)
+def test_in_place_build_is_bit_identical_across_chunks(monkeypatch, args):
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    test_in_place_build_is_bit_identical(args)
+
+
+class _ExtraBackground(np.random.Generator):
+    """Draws as a Generator does, but every Poisson count 10^4 higher."""
+
+    def poisson(self, lam=1.0, size=None):
+        return super().poisson(lam, size) + 10_000
+
+
+def test_background_past_its_bound_grows_the_buffer(monkeypatch):
+    # about 1000 background counts become 11000, far past the 12-sigma
+    # room the buffer holds for them
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    args = (0.2, 1e5, 20.0, 2.0, 0.01)
+    tags, ch = _former_simulate_stream(
+        *args, _ExtraBackground(np.random.PCG64(57)))
+    stream = simulate_stream(*args, seed=_ExtraBackground(np.random.PCG64(57)))
+    assert stream.time_tags.tobytes() == tags.tobytes()
+    assert stream.channel.tobytes() == ch.tobytes()
+    # longer than the first buffer: a gap batch of 41424 hits plus room
+    # for 1443 background counts
+    assert tags.size > 41_424 + 1_443
+
+
+def test_build_and_count_peak_near_the_stream():
+    for duration in (0.2, 0.8):
+        stream, build_peak = _traced_peak(_rho_stream, 0.943, 61, 20.0,
+                                          duration)
+        stream_bytes = stream.time_tags.nbytes + stream.channel.nbytes
+        # one buffer of tags and the channels, with no full-size copy
+        assert build_peak <= 1.4 * stream_bytes
+        # a block of 2^16 tags and at most about 2^17 delays to bin
+        count_peak = _traced_peak(g2_histogram, stream, 0.5, 500.0, 50.0)[1]
+        assert count_peak <= 3e6
