@@ -88,15 +88,15 @@ def simulate_stream(signal_prob: float, background_rate: float,
     mu = background_rate * duration_s
     block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
     # one buffer for every tag, sized to a gap batch's hits plus a 12-sigma
-    # bound on the background count, and grown only past that
+    # bound on the background count; a later batch grows it chunk by chunk
     spare = int(mu + 12.0 * np.sqrt(mu)) + 64
     buf, n, last = np.empty(block + spare), 0, -1    # n tags, last hit
     # hits: -1 plus gaps, clipped so sums cannot wrap; batches drawn whole
     while signal_prob > 0 and last < n_pulses - 1:
-        if n + block + spare > buf.size:
-            buf.resize(n + block + spare, refcheck=False)   # no view alive
         for lo in range(0, block, _BLOCK_TAGS):
             gaps = rng.geometric(signal_prob, min(_BLOCK_TAGS, block - lo))
+            if n + gaps.size + spare > buf.size:    # no view of buf alive
+                buf.resize(n + gaps.size + spare, refcheck=False)
             np.minimum(gaps, n_pulses + 1, out=gaps)
             np.cumsum(gaps, out=gaps); gaps += last
             m = np.searchsorted(gaps, n_pulses)
@@ -161,22 +161,22 @@ def g2_histogram(stream: PhotonStream, bin_width_ns: float, window_ns: float,
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
     hist, peaks = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 1, int)
     for lo in starts:
-        t, c, taus = tags[lo:lo + reach] * 1e-3, ch[lo:lo + reach], []
-        for j in range(1, t.size + 1):
+        t, c, taus, held = tags[lo:lo + reach] * 1e-3, ch[lo:lo + reach], [], 0
+        for j in range(1, t.size):
             e = min(_BLOCK_TAGS, t.size - j)   # pairs (i, i + j), i in block
             d = t[j:j + e] - t[:e]
             near = d <= window_ns
-            # np.histogram costs per call: count about a block's delays at once
-            if not near.any() or sum(map(len, taus)) >= _BLOCK_TAGS:
-                tau, taus = np.concatenate([np.empty(0), *taus]), []
+            i = np.flatnonzero(near & (c[j:j + e] != c[:e]))
+            taus.append(np.where(c[i], -d[i], d[i]))     # t1 - t0
+            held, done = held + i.size, j == t.size - 1 or not near.any()
+            if done or held >= _BLOCK_TAGS:   # np.histogram costs per call
+                tau, taus, held = np.concatenate(taus), [], 0
                 hist += np.histogram(tau, bins=edges)[0]
                 k = np.rint(tau / rep_period_ns).astype(int)
                 peaks += np.bincount(k[abs(k) <= k_max] + k_max,
                                      minlength=peaks.size)
-            if not near.any():
+            if done:
                 break
-            i = np.flatnonzero(near & (c[j:j + e] != c[:e]))
-            taus.append(np.where(c[i], -d[i], d[i]))     # t1 - t0
     center_sum = int(peaks[k_max])
     side_sums = np.delete(peaks, k_max).astype(float)   # 2 k_max >= 8 peaks
     mean_side = side_sums.mean()

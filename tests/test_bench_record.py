@@ -15,14 +15,11 @@ def _tool():
     return tool
 
 
-def test_a_short_g2_run_is_recorded(tmp_path, capsys):
-    out = tmp_path / "BENCH_0.json"
-    assert _tool().main(["--pr", "0", "--workload", "g2", "--seconds", "0.1",
-                         "--seed", "3", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"# wrote {out}"
-    rec = json.loads(out.read_text())
-    assert (rec["pr"], rec["seed"], rec["seconds"]) == (0, 3, 0.1)
+def test_a_short_g2_run_is_recorded():
+    rec = _tool().record(ROOT, ["g2"], 1, 0.1)
+    assert (rec["seed"], rec["seconds"]) == (1, 0.1)
     assert rec["commit"] == rec["env"]["commit"] and rec["env"]["nproc"] >= 1
+    assert list(rec["workloads"]) == ["g2"]
     g2 = rec["workloads"]["g2"]
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(g2["end_to_end"]) == {m["name"]

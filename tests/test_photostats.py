@@ -344,6 +344,16 @@ def test_in_place_build_is_bit_identical_across_chunks(monkeypatch, args):
     test_in_place_build_is_bit_identical(args)
 
 
+def test_a_second_gap_batch_grows_the_buffer_by_chunks():
+    # 4.4e6 hits take a second gap batch of 2^22; past the tags, the buffer
+    # under the stream holds at most one chunk and the 64 slots of room for
+    # background (none here), not the rest of the batch
+    stream = simulate_stream(1.0, 0.0, 20.0, 2.0, 0.22, seed=52)
+    tags = stream.time_tags
+    assert tags.size == 4_400_000
+    assert tags.base.size - tags.size <= photostats._BLOCK_TAGS + 64
+
+
 class _ExtraBackground(np.random.Generator):
     """Draws as a Generator does, but every Poisson count 10^4 higher."""
 

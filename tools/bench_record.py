@@ -4,10 +4,10 @@
     python3 tools/bench_record.py --pr 26 --checkout path/to/parent
 
 Runs ``perfbench/run.py`` of ``--checkout`` (default: this checkout), as it
-stands, twice on each workload: ``--trace 0`` for the end-to-end metrics
-and ``--trace 1`` for the per-layer ones, each in its own process, for the
-benchmark's ``run_seconds`` (``BENCHMARK.json``) unless ``--seconds`` is
-given.  The file it writes holds:
+stands, twice on each workload of ``BENCHMARK.json``: ``--trace 0`` for
+the end-to-end metrics and ``--trace 1`` for the per-layer ones, each in
+its own process, with seed 1, for the benchmark's ``run_seconds``.  The
+file it writes, ``BENCH_<N>.json`` in this checkout, holds:
 
 - ``pr``, ``seed``, ``seconds``, and ``commit`` and ``env``: the commit
   and the whole environment line of the untraced run of the first workload;
@@ -77,26 +77,19 @@ def main(argv=None) -> int:
                     help="the number N in BENCH_<N>.json")
     ap.add_argument("--checkout", default=str(ROOT),
                     help="the checkout whose perfbench/run.py runs")
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (default: every benchmark one)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float,
-                    help="default: the benchmark's run_seconds")
-    ap.add_argument("--out", help="default: BENCH_<N>.json in this checkout")
     args = ap.parse_args(argv)
     checkout = Path(args.checkout).resolve()
     if not (checkout / "perfbench" / "run.py").is_file():
         print(f"error: {checkout} holds no perfbench/run.py", file=sys.stderr)
         return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds or benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     try:
-        rec = record(checkout, workloads, args.seed, seconds)
+        rec = record(checkout, workloads, 1, benchmark["run_seconds"])
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out or ROOT / f"BENCH_{args.pr}.json")
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"pr": args.pr, **rec}, indent=1,
                               sort_keys=True) + "\n")
     for name, w in rec["workloads"].items():
