@@ -16,13 +16,14 @@ wing is a pseudo-channel whose displacement grows as sqrt(delta/cutoff),
 scaled by a thermal amplification that vanishes as T -> 0 and whose
 rotation sense follows the sign of the strain bias.
 
-The channel sums live on the lineshape's lattice, with its ZPL profile P
-and wing factor (1 + k)/knorm (``vibronic._render_shift_spectrum``).  Line
-i (shift s_i, weight w_i, dipole b_i) is a stick w_i (1, J cos 2psi_i, J
-sin 2psi_i), J the jitter DOLP ceiling, that the wing factor dresses with
-its parent-axis wing; the wing's rotation adds r_ik(d) = w_i J rho(d)
-[c_k(b_i + g q(d)) - c_k(b_i)] / knorm to s1 and s2 (c_1 = cos 2psi, c_2 =
-sin 2psi).  So the channel s0 is the lineshape up to the weight left out.
+The channel sums are planned and rendered as the lineshape is
+(``vibronic._plan``, ``vibronic._render``), with its ZPL profile P and
+wing factor (1 + k)/knorm.  Line i (shift s_i, weight w_i, dipole b_i) is
+a stick w_i (1, J cos 2psi_i, J sin 2psi_i), J the jitter DOLP ceiling,
+that the wing factor dresses with its parent-axis wing; the wing's
+rotation adds r_ik(d) = w_i J rho(d) [c_k(b_i + g q(d)) - c_k(b_i)] /
+knorm to s1 and s2 (c_1 = cos 2psi, c_2 = sin 2psi).  So the channel s0
+is the lineshape up to the weight left out.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 from .core import (MAX_LINES, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, ValidationError, _stokes_psi_dop_chi,
                    wrap_orientation_scalar)
-from .vibronic import (_acoustic_kernel_weights, _wing_factor,
-                       _render_shift_spectrum, acoustic_wing_density,
-                       bose_occupation, lineshape_density, mode_line_weights)
+from .vibronic import (_acoustic_kernel_weights, _plan, _render, _wing_factor,
+                       acoustic_wing_density, bose_occupation,
+                       lineshape_density, mode_line_weights)
 
 # anti-Stokes channels sample displacement sqrt(n) * (1 + this factor)
 ANTI_STOKES_AMPLIFICATION = 1.0
@@ -242,9 +243,9 @@ def _jitter_dolp(model: EmitterModel) -> float:
     return float(np.exp(-2.0 * sigma_jit * sigma_jit))  # float: no warning
 
 
-def _stick_signal(shifts, coef, tau, lo: float, d: float, n: int):
-    """sum_i coef[:, i] e^{-i (shifts_i - lo) tau}, in the frame of the
-    renderer's lattice lo + j d, j < n: a type-1 NUFFT (Greengard & Lee,
+def _stick_signal(shifts, coef, plan):
+    """sum_i coef[:, i] e^{-i (shifts_i - lo) tau} at plan.tau, in the frame
+    of plan's lattice lo + j d, j < n: a type-1 NUFFT (Greengard & Lee,
     SIAM Rev. 46, 443 (2004)) spreads each stick periodically onto the 2n
     points lo + j h, h = d/2, by e^{-x^2 / 2 (2h)^2} cut at +-16 h, and
     divides the real FFT at tau, up to the Nyquist pi/d, by the kernel's
@@ -252,6 +253,7 @@ def _stick_signal(shifts, coef, tau, lo: float, d: float, n: int):
     adds 7e-18 (e^{-4 pi^2}); the division raises both 139-fold (e^{pi^2/2})
     at pi/d, where the profile is below e^{-5.8 pi^2} (Gaussian, d <=
     FWHM/8) or e^{-4 pi} (Lorentzian)."""
+    lo, d, n, tau = plan.lo, plan.d, plan.n, plan.tau
     u = 2.0 * (shifts - lo) / d
     near = np.rint(u)
     steps = np.arange(-16, 17)
@@ -263,18 +265,20 @@ def _stick_signal(shifts, coef, tau, lo: float, d: float, n: int):
     return np.fft.rfft(f)[:, :tau.size] * deconv
 
 
-def _wing_residual(model: EmitterModel, shifts, weights, dip, lo: float,
-                   d: float, n: int, span: tuple, reach_w: float):
-    """(s1, s2) of the wing rotation residual at the n lattice points lo + j d
-    in span (0 elsewhere), from the lines within reach_w of each."""
+def _wing_residual(model: EmitterModel, shifts, weights, dip, plan,
+                   reach_p: float, reach_w: float):
+    """Time signal at plan.tau of the (s1, s2) wing rotation residual, taken
+    at plan's lattice points within reach_p of its window from the lines
+    within reach_w of each."""
     g = _vector(model.acoustic_gradient, model.acoustic_direction)
     bx, by = dip.real, dip.imag    # the loop stays real: complex is slower
     q_unit = (thermal_amplification(model) * np.sign(model.strain_bias)
               / np.sqrt(model.acoustic_cutoff))
     scale = weights * _jitter_dolp(model) / _acoustic_kernel_weights(model)[2]
     c2_0, s2_0 = _axis_cos_sin(bx, by)
-    j_lo = max(0, np.ceil((span[0] - lo) / d))
-    j_hi = min(n - 1, np.floor((span[1] - lo) / d))
+    lo, d, n = plan.lo, plan.d, plan.n
+    j_lo = max(0, np.ceil((plan.window[0] - reach_p - lo) / d))
+    j_hi = min(n - 1, np.floor((plan.window[1] + reach_p - lo) / d))
     width = int(min(np.floor(2.0 * reach_w / d) + 2.0, j_hi - j_lo + 1))
     first = np.clip(np.ceil((shifts - reach_w - lo) / d), j_lo, j_hi)
     count = np.minimum(np.floor((shifts + reach_w - lo) / d), j_hi) - first
@@ -295,7 +299,7 @@ def _wing_residual(model: EmitterModel, shifts, weights, dip, lo: float,
         j = np.minimum(first[sl, None] + steps, j_hi).astype(np.int64).ravel()
         out[0] += np.bincount(j, (rho * (c2 - c2_0[sl, None])).ravel(), n)
         out[1] += np.bincount(j, (rho * (sn2 - s2_0[sl, None])).ravel(), n)
-    return out
+    return d * np.fft.rfft(out)[:, :plan.tau.size]
 
 
 def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
@@ -311,21 +315,16 @@ def _stokes_sums(model: EmitterModel, grid: EnergyGrid,
     _, _, knorm = _acoustic_kernel_weights(model)
     tol = TAIL_FRACTION * LOW_SIGNAL_FRACTION * float(weight.max())
     reach_p, reach_w = _line_reach(model, float(tol * knorm / weights.sum()))
-    d_lo = (model.zpl_energy - grid.max_energy) * 1e3     # meV below ZPL
-    d_hi = (model.zpl_energy - grid.min_energy) * 1e3
     reach = reach_p + reach_w
+    plan = _plan(model, grid, reach, _CHANNEL_POINTS)
+    d_lo, d_hi = plan.window                              # meV below ZPL
     kept = (shifts >= d_lo - reach) & (shifts <= d_hi + reach)
     shifts, coef, dip = shifts[kept], coef[:, kept], dip[kept]
-
-    def g_builder(tau, lo, d, n):
-        g = _stick_signal(shifts, coef, tau, lo, d, n) * _wing_factor(model, tau)
-        if thermal_amplification(model) * model.strain_bias != 0:
-            res = _wing_residual(model, shifts, coef[0], dip, lo, d, n,
-                                 (d_lo - reach_p, d_hi + reach_p), reach_w)
-            g[1:] += d * np.fft.rfft(res)[:, :tau.size]
-        return g
-
-    s = _render_shift_spectrum(model, grid, g_builder, reach, _CHANNEL_POINTS)
+    g = _stick_signal(shifts, coef, plan) * _wing_factor(model, plan.tau)
+    if thermal_amplification(model) * model.strain_bias != 0:
+        g[1:] += _wing_residual(model, shifts, coef[0], dip, plan, reach_p,
+                                reach_w)
+    s = _render(model, plan, g)
     if not np.all(np.isfinite(s)):
         raise NumericalError("channel Stokes sums overflow")
     if not np.abs(s[0] - weight).max() <= dropped / model.zpl_linewidth + tol:
@@ -344,8 +343,8 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
     below the transforms' rounding floor 1e-12/FWHM, or that have no
     defined axis, are invalid, and DOLP is capped at 1, the bound of every
     channel.  The curve's ``weight`` is ``lineshape_density``.  One
-    renderer call gives (s0, s1, s2), the sticks spread within the bound
-    of ``_stick_signal``, and:
+    ``_render`` on the channel plan gives (s0, s1, s2), the sticks spread
+    within the bound of ``_stick_signal``, and:
 
     - Lines farther than R = R_p + R_w from the window are left out; the
       residual is sampled within R_p of the window from the lines within
@@ -355,7 +354,7 @@ def orientation_vs_energy(model: EmitterModel, grid: EnergyGrid,
       residual beyond R_w (|c_k| <= 1) and its profile tail beyond R_p add
       at most b/8 + b/4 + b/8 + b/8 per unit line weight.  A Lorentzian
       R_p is infinite: the lattice is then the lineshape's full band, with
-      its periodization bound (``_render_shift_spectrum``).
+      its periodization bound (``vibronic._render``).
     - Near line i the residual is a_i+- |d|^{3/2}, |a_i+| <= 2 g a w_s w_i
       J / (knorm c^{5/2} |b_i|), |a_i-| <= (1 + A) |a_i+| (a the thermal, A
       the anti-Stokes amplification).  Sampled at the lattice step d and

@@ -7,16 +7,17 @@ The production path multiplies the thermal generating function
 
 by the ZPL profile and the closed-form acoustic wing in the time domain;
 one real inverse FFT gives exact samples of the density at the caller's
-energy grid (``_render_shift_spectrum``) at one complex exponential per t
-(``_phase_ramp``, ``_profile_cut``).  The verification oracle sums each
-mode's lines with their closed-form weights (``mode_line_weights``)
-instead; both share the same rendering, so they differ only in how the
-vibronic line weights are generated.
+energy grid at one complex exponential per t (``_phase_ramp``).  ``_plan``
+lays out the FFT lattice that holds the grid, and ``_render`` transforms a
+time signal on it.  The verification oracle sums each mode's lines with
+their closed-form weights (``mode_line_weights``) instead; both share the
+same rendering, so they differ only in how the line weights are generated.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (EnergyGrid, EmitterModel, MAX_GRID_POINTS, MAX_LINES,
 
 TAIL_WEIGHT = 1e-13        # weight the full band may leave out on each side
 PROFILE_FLOOR = 40.0       # the render leaves out tau where profile < e^{-40}
+_Plan = namedtuple("_Plan", "lo d n tau window read")     # see ``_plan``
 
 
 def _kt(temperature: float) -> float:
@@ -229,40 +231,24 @@ def _fft_size(n: int) -> int:
                for q in (1, 3, 5, 9, 15, 25, 45, 75, 225))
 
 
-def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
-                           reach: float = np.inf, limit: float = np.inf):
-    """Exact samples of the density (1/meV) at the photon energies of grid.
-
-    g_builder(tau, lo, d, n) returns the time signal, wing included, of
-    one density (or one per row) in the frame of the lattice lo + j d, j <
-    n: a line at shift D = E_ZPL - E is e^{-i (D - lo) tau}.  d = s/k, s
-    the grid spacing and k = ceil(8 s / linewidth); tau holds only the
-    frequencies ``_profile_cut`` keeps, and the ZPL profile multiplies the
-    signal here.  The lattice holds every shift D of the grid, read off by
-    slicing, and is padded to a fast FFT size n.  At finite reach it
-    spans [D_min - reach, D_max + reach].  At infinite reach the band
-    [-anti, stokes] holds all but TAIL_WEIGHT a side (``_span_estimate``):
+def _plan(model: EmitterModel, grid: EnergyGrid, reach: float = np.inf,
+          limit: float = np.inf) -> _Plan:
+    """The FFT lattice lo + j d, j < n, whose points ``read``, reversed, are
+    the grid's shifts D = E_ZPL - E (meV); window is (D_min, D_max), and tau
+    (1/meV, step 2 pi/P, P = n d) the frequencies ``_profile_cut`` keeps.
+    d = s/k, s the grid spacing and k = ceil(8 s / linewidth); n is a fast
+    FFT size.  At finite reach the lattice spans [D_min - reach, D_max +
+    reach].  At infinite reach the band [-anti, stokes] holds all but
+    TAIL_WEIGHT a side (``_span_estimate``):
       Gaussian: the lattice starts at D_min, with P = n d >= max(stokes -
         D_min, D_max + anti, D_max - D_min), so every periodic image of a
         window sample lies past the band, in a tail of at most TAIL_WEIGHT;
       Lorentzian: it spans [min(D_min, 0) - anti, max(D_max, 0) + stokes],
-        since its periodized tail (below) falls only as 1/(m P)^2: the
-        shorter period would bring an image of each line within anti, as
-        little as 500 FWHM, of the window's edge.
-    Its samples are those of the density periodized on P, up to the signal
-    beyond pi/d:
-      Gaussian (sigma = FWHM/2.3548): at most d e^{-(sigma pi/d)^2/2} /
-        (pi sigma)^2 per sample, e^{-(sigma pi/d)^2/2} <= 1.9e-25;
-      Lorentzian (FWHM Gamma): at most 2/(pi Gamma) e^{-Gamma pi/(2d)},
-        e^{-Gamma pi/(2d)} <= e^{-4 pi} = 3.5e-6, plus the periodized tail,
-        sum_{m != 0} Gamma/(2 pi (delta + m P)^2) per unit line weight.
-    The tau (step t = 2 pi/P) past ``_profile_cut`` hold at most e^{-40} (t
-    + 1/r)/pi per sample and unit weight, r = sqrt(80) sigma (Gaussian) or
-    Gamma/2.  A builder of shifts from the ZPL moves them to the lattice
-    by e^{i lo tau}, a ``_phase_ramp``, which adds at most (|lo| pi/d + 8)
-    2^-53 of the profile's peak.  Past min(limit, MAX_GRID_POINTS)
-    points it raises, naming a spacing or linewidth that fits.  Only the
-    first row, the intensity, is clipped at 0."""
+        since its periodized tail (``_render``) falls only as 1/(m P)^2:
+        the shorter period would bring an image of each line within anti,
+        as little as 500 FWHM, of the window's edge.
+    Past min(limit, MAX_GRID_POINTS) points it raises, naming a spacing or
+    linewidth that fits."""
     s = grid.spacing * 1e3
     d_min = (model.zpl_energy - grid.max_energy) * 1e3
     d_max = (model.zpl_energy - grid.min_energy) * 1e3
@@ -299,12 +285,30 @@ def _render_shift_spectrum(model: EmitterModel, grid: EnergyGrid, g_builder,
             else f"widen the linewidth to {8.0 * finest:.3g} meV and the "
             f"grid spacing to {finest * 1e-3:.3g} eV"))
     n, k, m0 = _fft_size(int(need)), int(k), int(m0)
-    tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)            # 1/meV
-    tau = tau[:_profile_cut(model, tau)]
-    g = (g_builder(tau, lo, d, n)
-         * _profile_factor(tau, model.zpl_linewidth, model.zpl_profile))
-    dens = np.fft.irfft(g, n) / d                  # zero-padded past the cut
-    out = np.array(dens[..., m0:m0 + (grid.n_points - 1) * k + 1:k][..., ::-1])
+    tau = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
+    return _Plan(lo, d, n, tau[:_profile_cut(model, tau)], (d_min, d_max),
+                 slice(m0, m0 + (grid.n_points - 1) * k + 1, k))
+
+
+def _render(model: EmitterModel, plan: _Plan, g) -> np.ndarray:
+    """Exact samples of the density (1/meV, one per row of g) at the grid's
+    points, from its time signal g at plan.tau in the lattice's frame (a
+    line at shift D is e^{-i (D - lo) tau}), wing included; the ZPL profile
+    multiplies g here.  They are those of the density periodized on P, up
+    to the signal beyond pi/d:
+      Gaussian (sigma = FWHM/2.3548): at most d e^{-(sigma pi/d)^2/2} /
+        (pi sigma)^2 per sample, e^{-(sigma pi/d)^2/2} <= 1.9e-25;
+      Lorentzian (FWHM Gamma): at most 2/(pi Gamma) e^{-Gamma pi/(2d)},
+        e^{-Gamma pi/(2d)} <= e^{-4 pi} = 3.5e-6, plus the periodized tail,
+        sum_{m != 0} Gamma/(2 pi (delta + m P)^2) per unit line weight.
+    The tau past the cut hold at most e^{-40} (2 pi/P + 1/r)/pi per sample
+    and unit weight, r = sqrt(80) sigma (Gaussian) or Gamma/2.  A signal of
+    shifts from the ZPL moves them to the lattice by e^{i lo tau}, a
+    ``_phase_ramp``: at most (|lo| pi/d + 8) 2^-53 of the profile's peak.
+    Only the first row, the intensity, is clipped at 0."""
+    g = g * _profile_factor(plan.tau, model.zpl_linewidth, model.zpl_profile)
+    dens = np.fft.irfft(g, plan.n) / plan.d        # zero-padded past the cut
+    out = np.array(dens[..., plan.read][..., ::-1])
     intensity = out if out.ndim == 1 else out[0]
     intensity[:] = np.clip(intensity, 0.0, None)
     return out
@@ -347,20 +351,17 @@ def lineshape_density(model: EmitterModel, grid: EnergyGrid) -> np.ndarray:
     truncation check is made, so this is the right entry point when only
     part of the band is needed.
     """
-    n_occ = [bose_occupation(m.energy_mev, model.temperature)
-             for m in model.modes]
-
-    def g_builder(tau, lo, *_):
-        # log G = sum_k S_k [(2 n_k + 1)(cos w_k t - 1) - i sin w_k t]
-        g = np.zeros(tau.size, dtype=complex)
-        for m, n in zip(model.modes, n_occ):
-            z = _phase_ramp(m.energy_mev * tau[1], tau.size)
-            z.real = (2.0 * n + 1.0) * (z.real - 1.0)
-            g += m.partial_hr * z
-        return (np.exp(g) * _wing_factor(model, tau)
-                * _phase_ramp(-lo * tau[1], tau.size))
-
-    return _render_shift_spectrum(model, grid, g_builder)
+    plan = _plan(model, grid)
+    tau = plan.tau
+    # log G = sum_k S_k [(2 n_k + 1)(cos w_k t - 1) - i sin w_k t]
+    g = np.zeros(tau.size, dtype=complex)
+    for m in model.modes:
+        z = _phase_ramp(m.energy_mev * tau[1], tau.size)
+        n = bose_occupation(m.energy_mev, model.temperature)
+        z.real = (2.0 * n + 1.0) * (z.real - 1.0)
+        g += m.partial_hr * z
+    return _render(model, plan, np.exp(g) * _wing_factor(model, tau)
+                   * _phase_ramp(-plan.lo * tau[1], tau.size))
 
 
 def lineshape(model: EmitterModel, grid: EnergyGrid) -> Spectrum:
@@ -439,12 +440,11 @@ def lineshape_bruteforce(model: EmitterModel, grid: EnergyGrid,
     if not abs(kept - 1.0) <= 1e-3:
         raise NumericalError(f"the tables keep {kept:.8f} of the weight")
 
-    def g_builder(tau, lo, *_):
-        g = np.ones_like(tau, dtype=complex)
-        for mode, (ms, ws) in zip(model.modes, tables):
-            g *= sum(w * _phase_ramp(m * mode.energy_mev * tau[1], tau.size)
-                     for m, w in zip(ms, ws))
-        return (g * _wing_factor(model, tau)
-                * _phase_ramp(-lo * tau[1], tau.size))
-
-    return Spectrum(grid, _render_shift_spectrum(model, grid, g_builder))
+    plan = _plan(model, grid)
+    tau = plan.tau
+    g = np.ones_like(tau, dtype=complex)
+    for mode, (ms, ws) in zip(model.modes, tables):
+        g *= sum(w * _phase_ramp(m * mode.energy_mev * tau[1], tau.size)
+                 for m, w in zip(ms, ws))
+    return Spectrum(grid, _render(model, plan, g * _wing_factor(model, tau)
+                                  * _phase_ramp(-plan.lo * tau[1], tau.size)))

@@ -440,19 +440,14 @@ def _dense_stokes(model, grid, near=10.0):
     shifts, weights, vx, vy, coef = _lines(eff)
     shifts, weights, vx, vy, coef = (shifts[kept], weights[kept], vx[kept],
                                      vy[kept], coef[:, kept])
-    lattice = {}
-
-    def builder(tau, lo, d, n):
-        lattice.update(lo=lo, d=d, n=n)
-        return _direct_sticks(shifts - lo, coef, tau) * _wing_factor(eff, tau)
-
-    s = vibronic._render_shift_spectrum(eff, grid, builder,
-                                        2 * (reach_p + reach_w))
+    plan = vibronic._plan(eff, grid, 2 * (reach_p + reach_w))
+    tau, lo, d, n = plan.tau, plan.lo, plan.d, plan.n
+    s = vibronic._render(eff, plan, _direct_sticks(shifts - lo, coef, tau)
+                         * _wing_factor(eff, tau))
     x = (eff.zpl_energy - grid.points) * 1e3
     amp = thermal_amplification(eff)
     if eff.acoustic_coupling == 0 or amp == 0:
         return s, np.zeros(grid.n_points)    # the residual vanishes
-    lo, d, n = lattice["lo"], lattice["d"], lattice["n"]
     period = n * d
     d_lo, d_hi = x.min(), x.max()
     gap = np.maximum(d_lo - shifts, shifts - d_hi)

@@ -6,9 +6,24 @@ The pinned lines were read off a run of ``perfbench/run.py --workload g2
 
 import importlib.util
 import resource
+import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_ops.py"
+
+
+@pytest.fixture(autouse=True)
+def _restore_imports(monkeypatch):
+    """The tool puts perfbench/ and src/ on sys.path and imports workloads.
+    Undo both: hypothesis draws from the constants of every loaded local
+    module, so later derandomized tests would draw other examples."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
+    yield
+    for name in set(sys.modules) - loaded:
+        del sys.modules[name]
 
 
 def _tool():

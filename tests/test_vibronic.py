@@ -350,36 +350,32 @@ def _unclipped_density(model, grid):
     renderer does not clip at 0: summed, its rounding noise cancels"""
     occ = [(m, bose_occupation(m.energy_mev, model.temperature))
            for m in model.modes]
-
-    def g_builder(tau, lo, *_):
-        log_g = sum(m.partial_hr * ((2.0 * n + 1.0) * np.cos(m.energy_mev * tau)
-                                    - 2.0 * n - 1.0
-                                    - 1j * np.sin(m.energy_mev * tau))
-                    for m, n in occ)
-        g = (np.exp(log_g) * vibronic._wing_factor(model, tau)
-             * vibronic._phase_ramp(-lo * tau[1], tau.size))
-        return np.stack([g, g])
-
-    return vibronic._render_shift_spectrum(model, grid, g_builder)[1]
+    plan = vibronic._plan(model, grid)
+    tau = plan.tau
+    log_g = sum(m.partial_hr * ((2.0 * n + 1.0) * np.cos(m.energy_mev * tau)
+                                - 2.0 * n - 1.0
+                                - 1j * np.sin(m.energy_mev * tau))
+                for m, n in occ)
+    g = (np.exp(log_g) * vibronic._wing_factor(model, tau)
+         * vibronic._phase_ramp(-plan.lo * tau[1], tau.size))
+    return vibronic._render(model, plan, np.stack([g, g]))[1]
 
 
-def _cos_sin_builder(model):
-    """The generating function with a cos and a sin of every mode at every
-    tau, which the phase ramps replaced (``_unclipped_density`` needs a mode
-    or a wing)"""
-    occ = [(m, bose_occupation(m.energy_mev, model.temperature))
-           for m in model.modes]
-
-    def g_builder(tau, lo, *_):
-        re, im = np.zeros_like(tau), np.zeros_like(tau)
-        for m, n in occ:
-            x = m.energy_mev * tau
-            re += m.partial_hr * (2.0 * n + 1.0) * (np.cos(x) - 1.0)
-            im -= m.partial_hr * np.sin(x)
-        return (np.exp(re + 1j * im) * vibronic._wing_factor(model, tau)
-                * vibronic._phase_ramp(-lo * tau[1], tau.size))
-
-    return g_builder
+def _cos_sin_density(model, grid):
+    """lineshape_density from the generating function with a cos and a sin
+    of every mode at every tau, which the phase ramps replaced
+    (``_unclipped_density`` needs a mode or a wing)"""
+    plan = vibronic._plan(model, grid)
+    tau = plan.tau
+    re, im = np.zeros_like(tau), np.zeros_like(tau)
+    for m in model.modes:
+        n = bose_occupation(m.energy_mev, model.temperature)
+        x = m.energy_mev * tau
+        re += m.partial_hr * (2.0 * n + 1.0) * (np.cos(x) - 1.0)
+        im -= m.partial_hr * np.sin(x)
+    return vibronic._render(model, plan, np.exp(re + 1j * im)
+                            * vibronic._wing_factor(model, tau)
+                            * vibronic._phase_ramp(-plan.lo * tau[1], tau.size))
 
 
 @st.composite
@@ -407,10 +403,13 @@ def _render_case(draw):
 @given(case=_render_case())
 def test_phase_ramp_render_matches_cos_sin_render(case):
     model, grid = case
-    builder = _cos_sin_builder(model)
-    ref = vibronic._render_shift_spectrum(model, grid, builder)
-    peak = vibronic._render_shift_spectrum(model, full_band_grid(model),
-                                           builder).max()
+    try:
+        ref = _cos_sin_density(model, grid)
+    except NumericalError as err:           # a lattice past MAX_GRID_POINTS
+        if not str(err).startswith("internal grid would need"):
+            raise
+        reject()
+    peak = _cos_sin_density(model, full_band_grid(model)).max()
     got = lineshape_density(model, grid)
     assert np.abs(got - ref).max() <= 1e-11 * peak
 
@@ -450,16 +449,26 @@ def test_gaussian_period_leaves_the_window_free_of_images(case):
     assert np.abs(got - ref).max() <= 1e-12 * peak
 
 
-def _lattice(model, grid):
-    """(n, d) of the renderer's lattice for grid"""
-    seen = []
-
-    def g_builder(tau, lo, d, n):
-        seen.append((n, d))
-        return np.ones(tau.size, dtype=complex)
-
-    vibronic._render_shift_spectrum(model, grid, g_builder)
-    return seen[0]
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_render_case())
+def test_plan_reads_the_grid_off_its_lattice(case):
+    # the lattice points read, reversed, are the grid's shifts from the ZPL;
+    # a lattice step is at least about 5e-4 meV
+    model, grid = case
+    window = ((model.zpl_energy - grid.max_energy) * 1e3,
+              (model.zpl_energy - grid.min_energy) * 1e3)
+    shifts = (model.zpl_energy - grid.points) * 1e3
+    for reach in (np.inf, 10.0):
+        try:
+            plan = vibronic._plan(model, grid, reach)
+        except NumericalError as err:       # a lattice past MAX_GRID_POINTS
+            if not str(err).startswith("internal grid would need"):
+                raise
+            reject()
+        j = np.arange(plan.read.start, plan.read.stop, plan.read.step)
+        assert j.size == grid.n_points and 0 <= j[0] and j[-1] < plan.n
+        assert np.abs((plan.lo + plan.d * j)[::-1] - shifts).max() <= 1e-9
+        assert plan.window == window
 
 
 # the Lorentzian full-band lattice, which spans the grid plus the band a side
@@ -479,13 +488,13 @@ def test_full_band_period_is_the_aliasing_bound(preset, temp):
     assert model.zpl_profile == "gaussian"
     grid = full_band_grid(model)
     anti, stokes = vibronic._span_estimate(model)
-    d_min = (model.zpl_energy - grid.max_energy) * 1e3
-    d_max = (model.zpl_energy - grid.min_energy) * 1e3
+    plan = vibronic._plan(model, grid)
+    d_min, d_max = plan.window
     p_min = max(stokes - d_min, d_max + anti, d_max - d_min)
-    n, d = _lattice(model, grid)
+    n, d = plan.n, plan.d
     assert p_min <= n * d <= 1.125 * p_min + 2.0 * d
     lorentz = replace(model, zpl_profile="lorentzian")
-    n, _ = _lattice(lorentz, full_band_grid(lorentz))
+    n = vibronic._plan(lorentz, full_band_grid(lorentz)).n
     assert n == LORENTZIAN_FULL_BAND_N[preset, temp]
 
 
