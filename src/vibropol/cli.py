@@ -23,8 +23,8 @@ from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
 from .io import (read_angle_trace, read_map, read_mode_table, read_rqwp_trace,
                  write_analysis_report, write_g2_histogram, write_map,
                  write_mode_table, write_spectrum)
-from .photostats import (background_rate_for_fraction, g2_histogram,
-                         histogram_bins, simulate_stream)
+from .photostats import (_draw_stream, background_rate_for_fraction,
+                         g2_histogram, histogram_bins)
 from .polarimetry import (analyze_map, default_map_angles, default_map_grid,
                           extract_stokes_rqwp, fit_malus, roundtrip_checks,
                           simulate_polarization_map, stokes_to_ellipse)
@@ -199,8 +199,9 @@ def cmd_g2(args) -> int:
         raise ValidationError("rep rate must be > 0")
     period = 1e3 / args.rep_rate
     histogram_bins(args.bin_width, args.window, period)
-    stream = simulate_stream(args.signal_prob, background, args.rep_rate,
-                             args.lifetime, args.duration, seed=args.seed)
+    # the count draws the stream a block at a time; it is never held whole
+    stream = _draw_stream(args.signal_prob, background, args.rep_rate,
+                          args.lifetime, args.duration, seed=args.seed)
     hist = g2_histogram(stream, args.bin_width, args.window, period)
     cfg = _run_header(args, None, signal_prob=args.signal_prob,
                       background_rate=f"{background:.12g}",

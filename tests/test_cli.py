@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -363,15 +364,47 @@ def test_malformed_input_file_is_validation_error(tmp_path, capsys, command,
 def test_g2_histogram_size_is_checked_before_the_stream(tmp_path, capsys,
                                                         monkeypatch):
     def no_stream(*args, **kwargs):
-        raise AssertionError("simulated the stream before checking bins")
+        raise AssertionError("defined the stream before checking bins")
 
-    monkeypatch.setattr(cli, "simulate_stream", no_stream)
+    monkeypatch.setattr(cli, "_draw_stream", no_stream)
     # 2 x 500 ns / 1e-9 ns is about 1e12 bins
     for argv in (["--bin-width", "1e-9"], ["--window", "10"],
                  ["--rep-rate", "0"]):
         assert _run(["g2", *argv, "--out", str(tmp_path / "g2.csv"),
                      "--quiet"]) == 2
         _assert_one_line_error(capsys, "error: validation:")
+
+
+def test_dense_g2_stream_is_refused_in_its_first_block(tmp_path, capsys):
+    # 1.2e8 tags 50 ns apart: over 8 in one 500 ns window, seen in the first
+    # block, before the rest of the stream is drawn
+    out = tmp_path / "g2.csv"
+    tracemalloc.start()
+    try:
+        code = _run(["g2", "--signal-prob", "1", "--duration", "6", "--out",
+                     str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10e6
+    _assert_one_line_error(capsys, "error: validation: stream too dense: "
+                                   "over 8 tags in one 500 ns window")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--background-rate", "nan"], ["--background-rate", "inf"],
+    ["--signal-fraction", "5e-324"],     # a background rate of inf
+    ["--duration", "nan"], ["--duration", "inf"], ["--lifetime", "nan"],
+    ["--rep-rate", "nan"], ["--signal-prob", "nan"],
+])
+def test_non_finite_g2_stream_is_validation_error(tmp_path, capsys, argv):
+    # g2 draws its stream as it counts, with no cap on the stream's size:
+    # each argument is checked on its own before the first draw
+    out = tmp_path / "g2.csv"
+    assert _run(["g2", *argv, "--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

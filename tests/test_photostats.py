@@ -251,6 +251,29 @@ def test_offset_passes_match_pair_expansion_across_blocks(
     test_offset_passes_match_pair_expansion(make, bin_width, window, period)
 
 
+@pytest.mark.parametrize("block", [2 ** 16, 1000])
+@pytest.mark.parametrize(*_PAIR_CASES.args, **_PAIR_CASES.kwargs)
+def test_drawn_stream_counts_as_its_built_stream(monkeypatch, block, make,
+                                                  bin_width, window, period):
+    # the stream each case builds, counted again as g2_histogram draws it
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", block)
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append((args, kwargs))
+        return photostats.simulate_stream(*args, **kwargs)
+
+    monkeypatch.setitem(globals(), "simulate_stream", build)
+    make()
+    (args, kwargs), = calls
+    built = g2_histogram(build(*args, **kwargs), bin_width, window, period)
+    drawn = g2_histogram(photostats._draw_stream(*args, **kwargs), bin_width,
+                         window, period)
+    assert np.array_equal(drawn.coincidences, built.coincidences)
+    assert drawn.g2_zero == built.g2_zero
+    assert drawn.g2_zero_err == built.g2_zero_err
+
+
 def test_density_guard_is_exact_across_blocks(monkeypatch):
     monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
     test_density_guard_allows_exactly_the_budgeted_passes(monkeypatch)
@@ -269,30 +292,48 @@ def test_density_guard_sees_a_cluster_on_a_block_edge(monkeypatch, first):
         g2_histogram(stream, 0.5, 500.0, 50.0)
 
 
-def _former_simulate_stream(signal_prob, background_rate, rep_rate_mhz,
-                            lifetime_ns, duration_s, seed):
-    """simulate_stream's draws as they were before the in-place build:
-    every step allocates a new array."""
-    rng = np.random.default_rng(seed)
+def _reference_stream(signal_prob, background_rate, rep_rate_mhz,
+                      lifetime_ns, duration_s, seed):
+    """simulate_stream's stream drawn whole: each source in one call to its
+    own generator, the sources joined by one stable sort and the channels
+    drawn in one call."""
+    gaps, delays, background, channels = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
     period_ns = 1e3 / rep_rate_mhz
     n_pulses = int(duration_s * rep_rate_mhz * 1e6)
-    hits = [np.array([-1])]
-    block = min(1 << 22, int(n_pulses * signal_prob * 1.01) + 1024)
-    while signal_prob > 0 and hits[-1][-1] < n_pulses - 1:
-        gaps = np.minimum(rng.geometric(signal_prob, block), n_pulses + 1)
-        hits.append(hits[-1][-1] + np.cumsum(gaps))
-    hit = np.concatenate(hits)[1:]
-    hit = hit[:np.searchsorted(hit, n_pulses)]
-    sig = hit * period_ns + rng.exponential(lifetime_ns, hit.size)
-    bg = np.sort(rng.random(rng.poisson(background_rate * duration_s)))
-    t_ns = np.sort(np.concatenate([sig, bg * duration_s * 1e9]), kind="stable")
-    ch = rng.integers(0, 2, t_ns.size, dtype=np.int8)
-    return t_ns * 1e3, ch
+    hit = np.empty(0, dtype=int)
+    if signal_prob > 0:
+        # hit k lies at pulse k - 1 or later: n_pulses gaps pass the last
+        gap = gaps.geometric(signal_prob, n_pulses)
+        hit = np.cumsum(np.minimum(gap, n_pulses + 1)) - 1
+        hit = hit[hit < n_pulses]
+    sig = hit * period_ns + delays.exponential(lifetime_ns, hit.size)
+    bg = np.empty(0)
+    if background_rate > 0:
+        mu = background_rate * duration_s
+        bg = np.cumsum(background.exponential(1e9 / background_rate,
+                                              int(mu + 12 * np.sqrt(mu)) + 64))
+        assert bg[-1] >= duration_s * 1e9        # drawn past the end
+        bg = bg[bg < duration_s * 1e9]
+    t_ns = np.sort(np.concatenate([sig, bg]), kind="stable")
+    return t_ns * 1e3, channels.integers(0, 2, t_ns.size, dtype=np.int8)
+
+
+def _digest(tags, ch):
+    return (tags.dtype, ch.dtype, tags.size,
+            hashlib.sha256(tags.tobytes() + ch.tobytes()).hexdigest())
+
+
+# sha256(tags + channels)[:16] of three streams, pinned: the same at any
+# _BLOCK_TAGS that is a multiple of 4
+_PINNED = {(0.1, 3e5, 37.0, 2.0, 0.03, 55): (120202, "58247b6d47a586bf"),
+           (0.0, 2e5, 20.0, 2.0, 0.05, 51): (9848, "18da6d510e36c86c"),
+           (0.4, 1e5, 20.0, 9.99, 0.05, 54): (404224, "27b0586e8c638673")}
 
 
 @pytest.mark.parametrize("args", [
     (0.0, 2e5, 20.0, 2.0, 0.05, 51),          # background only
-    (1.0, 0.0, 20.0, 2.0, 0.22, 52),          # 4.4e6 hits: two gap blocks
+    (1.0, 0.0, 20.0, 2.0, 0.22, 52),          # 4.4e6 hits: 68 gap chunks
     (0.3, 0.0, 20.0, 2.0, 0.05, 53),          # no background
     (0.4, 1e5, 20.0, 9.99, 0.05, 54),         # lifetime just under T/5
     (0.1, 3e5, 37.0, 2.0, 0.03, 55),
@@ -300,14 +341,13 @@ def _former_simulate_stream(signal_prob, background_rate, rep_rate_mhz,
 ], ids=["p0", "p1_two_blocks", "no_background", "long_lifetime", "rho",
         "empty"])
 def test_in_place_build_is_bit_identical(args):
-    def digest(tags, ch):
-        return (tags.dtype, ch.dtype, tags.size,
-                hashlib.sha256(tags.tobytes() + ch.tobytes()).hexdigest())
-
-    # one stream at a time: the former build peaks at about 6x its output
-    former = digest(*_former_simulate_stream(*args))
+    # one stream at a time: the reference peaks at several times its output
+    reference = _digest(*_reference_stream(*args))
     stream = simulate_stream(*args[:5], seed=args[5])
-    assert digest(stream.time_tags, stream.channel) == former
+    digest = _digest(stream.time_tags, stream.channel)
+    assert digest == reference
+    if args in _PINNED:
+        assert (digest[2], digest[3][:16]) == _PINNED[args]
 
 
 def _traced_peak(fn, *args):
@@ -344,45 +384,61 @@ def test_in_place_build_is_bit_identical_across_chunks(monkeypatch, args):
     test_in_place_build_is_bit_identical(args)
 
 
-def test_a_second_gap_batch_grows_the_buffer_by_chunks():
-    # 4.4e6 hits take a second gap batch of 2^22; past the tags, the buffer
-    # under the stream holds at most one chunk and the 64 slots of room for
-    # background (none here), not the rest of the batch
-    stream = simulate_stream(1.0, 0.0, 20.0, 2.0, 0.22, seed=52)
-    tags = stream.time_tags
-    assert tags.size == 4_400_000
-    assert tags.base.size - tags.size <= photostats._BLOCK_TAGS + 64
+@pytest.mark.parametrize("args", [
+    # 50 arrivals in 0.05 s, from one chunk of 1000 that spans about 1 s,
+    # wait across the 200 chunks of 1000 signal hits
+    (0.2, 1e3, 20.0, 2.0, 0.05, 57),
+    # 400 hits in 0.01 s, from one chunk of 1000 that spans about 25 ms,
+    # wait across the 100 chunks of 1000 background arrivals
+    (0.002, 1e7, 20.0, 2.0, 0.01, 58),
+], ids=["background_spans_signal", "signal_spans_background"])
+def test_a_chunk_of_one_source_is_carried_across_the_other(monkeypatch, args):
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
+    tags, ch = _reference_stream(*args)
+    assert tags.size > 90_000
+    stream = simulate_stream(*args[:5], seed=args[5])
+    assert _digest(stream.time_tags, stream.channel) == _digest(tags, ch)
 
 
-class _ExtraBackground(np.random.Generator):
-    """Draws as a Generator does, but every Poisson count 10^4 higher."""
-
-    def poisson(self, lam=1.0, size=None):
-        return super().poisson(lam, size) + 10_000
-
-
-def test_background_past_its_bound_grows_the_buffer(monkeypatch):
-    # about 1000 background counts become 11000, far past the 12-sigma
-    # room the buffer holds for them
+def test_the_buffer_grows_a_chunk_at_a_time_past_its_bound(monkeypatch):
+    # a bound of 64 tags for a stream of about 41000: every growth adds the
+    # piece and one chunk, so at most one chunk of slots lies past the tags
     monkeypatch.setattr(photostats, "_BLOCK_TAGS", 1000)
     args = (0.2, 1e5, 20.0, 2.0, 0.01)
-    tags, ch = _former_simulate_stream(
-        *args, _ExtraBackground(np.random.PCG64(57)))
-    stream = simulate_stream(*args, seed=_ExtraBackground(np.random.PCG64(57)))
-    assert stream.time_tags.tobytes() == tags.tobytes()
-    assert stream.channel.tobytes() == ch.tobytes()
-    # longer than the first buffer: a gap batch of 41424 hits plus room
-    # for 1443 background counts
-    assert tags.size > 41_424 + 1_443
+    expected = _digest(*_reference_stream(*args, 57))
+    draw = photostats._draw_stream
+    monkeypatch.setattr(photostats, "_draw_stream", lambda *a: (
+        photostats._Drawn(64, draw(*a).blocks)))
+    stream = simulate_stream(*args, seed=57)
+    tags = stream.time_tags
+    assert _digest(tags, stream.channel) == expected
+    assert tags.size > 40_000
+    assert tags.base.size - tags.size <= 1000
 
 
 def test_build_and_count_peak_near_the_stream():
+    fixed = []
     for duration in (0.2, 0.8):
         stream, build_peak = _traced_peak(_rho_stream, 0.943, 61, 20.0,
                                           duration)
         stream_bytes = stream.time_tags.nbytes + stream.channel.nbytes
-        # one buffer of tags and the channels, with no full-size copy
-        assert build_peak <= 1.4 * stream_bytes
+        # one buffer of tags and channels, plus the chunks being drawn
+        fixed.append(build_peak - stream_bytes)
         # a block of 2^16 tags and at most about 2^17 delays to bin
         count_peak = _traced_peak(g2_histogram, stream, 0.5, 500.0, 50.0)[1]
         assert count_peak <= 3e6
+    # 4x the tags leave the part past the stream as it was
+    assert abs(fixed[1] - fixed[0]) <= 0.5e6
+
+
+def _drawn_g2(duration):
+    bg = background_rate_for_fraction(0.943, 0.1, 20.0)
+    stream = photostats._draw_stream(0.1, bg, 20.0, 2.0, duration, seed=62)
+    return g2_histogram(stream, 0.5, 500.0, 50.0)
+
+
+def test_a_drawn_stream_is_counted_in_a_fixed_working_set():
+    # 4x the tags (2.1e6 to 8.5e6) and no more memory: the stream is never
+    # held, only a block of tags with its successors and the chunks drawn
+    peaks = [_traced_peak(_drawn_g2, duration)[1] for duration in (0.5, 2.0)]
+    assert peaks[1] <= peaks[0] + 1e6

@@ -586,7 +586,8 @@ def test_cold_lorentzian_band_searches_only_the_stokes_side(preset,
 
 def _least_bound(cgf, rate):
     """min over t of (K(t) + rate)/t per row: 62801 points over the 628
-    decades of double t, then Brent's method about the least of them"""
+    decades of double t, then Brent's method about the least of them,
+    between its neighbours where the bound is finite"""
     def bound(log_t):
         t = 10.0 ** np.asarray(log_t, dtype=float)
         with np.errstate(all="ignore"):
@@ -598,11 +599,19 @@ def _least_bound(cgf, rate):
     out = []
     for k, row in enumerate(np.atleast_2d(f)):
         i = int(np.argmin(row))
-        r = minimize_scalar(
-            lambda x: float(np.atleast_2d(bound([x]))[k, 0]),
-            bounds=(log_t[max(i - 1, 0)], log_t[min(i + 1, log_t.size - 1)]),
-            method="bounded", options={"xatol": 1e-13})
-        out.append(max(min(row[i], r.fun), 0.0))
+        # the bound is inf past a pole of K; a finite neighbour lies before
+        # it, so Brent's steps never meet an inf
+        lo, hi = (j if 0 <= j < row.size and np.isfinite(row[j]) else i
+                  for j in (i - 1, i + 1))
+        least = row[i]
+        if lo < hi:
+            r = minimize_scalar(
+                lambda x: float(np.atleast_2d(bound([x]))[k, 0]),
+                bounds=(log_t[lo], log_t[hi]), method="bounded",
+                options={"xatol": 1e-13})
+            assert not np.isnan(r.fun), (lo, hi)
+            least = min(least, r.fun)
+        out.append(max(least, 0.0))
     return np.array(out)
 
 

@@ -1,26 +1,35 @@
 """Record one benchmark point of the trajectory as ``BENCH_<N>.json``.
 
-    python3 tools/bench_record.py --pr 27
-    python3 tools/bench_record.py --pr 26 --checkout path/to/parent
+    python3 tools/bench_record.py --pr 33 --parent path/to/parent
+    python3 tools/bench_record.py --pr 33
 
-Runs ``perfbench/run.py`` of ``--checkout`` (default: this checkout), as it
-stands, twice on each workload of ``BENCHMARK.json``: ``--trace 0`` for
-the end-to-end metrics and ``--trace 1`` for the per-layer ones, each in
-its own process, with seed 1, for the benchmark's ``run_seconds``.  The
-file it writes, ``BENCH_<N>.json`` in this checkout, holds:
+With ``--parent``, runs the parent's and this checkout's
+``perfbench/run.py`` in turn, each tree its own: on each workload of
+``BENCHMARK.json``, 10 untraced pairs (``--trace 0``) at seeds 1-10, the
+side that goes first alternating from pair to pair, then one traced run
+(``--trace 1``) a side at seed 1, every run in its own process for the
+benchmark's ``run_seconds``.  Without it, this checkout alone runs once
+untraced and once traced, at seed 1.  The file it writes,
+``BENCH_<N>.json`` in this checkout, holds:
 
-- ``pr``, ``seed``, ``seconds``, and ``commit`` and ``env``: the commit
-  and the whole environment line of the untraced run of the first workload;
-- per workload, ``end_to_end``: the untraced run's metrics;
-- ``self_s``: the traced run's per-layer self times;
-- ``sizes``: its other per-layer metrics, the problem sizes (points, map
-  cells, tags, pairs, bytes and calls per op) and fractions;
-- ``runs``: for each run, whether its output checks held (``correct``),
-  its ops and its failed ops.
+- ``pr``, ``seeds``, ``seconds``, and per side (``parent``, ``change``)
+  the whole environment line of its first run, commit included;
+- per workload, ``end_to_end``: per metric its unit and direction, and per
+  side the ``median``, the quartiles ``q1`` and ``q3`` and the per-run
+  ``values`` in seed order.  With a parent it also holds ``pairs``,
+  ``change_won`` (pairs where the change reads better; a tie counts for
+  neither side) and ``gap_exceeds_parent_iqr`` (the medians differ by
+  more than the parent's quartile distance);
+- ``self_s`` and ``sizes``: the traced runs' per-layer self times, and
+  their other per-layer metrics (problem sizes, counts and fractions),
+  per side;
+- ``runs``: per side, each run's seed and trace flag, whether its output
+  checks held (``correct``), its ops and its failed ops.
 
-Two files compare only when both were measured on the same machine, one
-right after the other.  Exits 0 when every run printed its JSON line, and
-2 when the checkout has no benchmark or a run fails to report.
+Quartiles are numpy's linear-interpolation percentiles.  Two sides
+compare only when one machine measured both, one right after the other.
+Exits 0 when every run printed its JSON line, and 2 when a tree has no
+benchmark or a run fails to report.
 """
 
 from __future__ import annotations
@@ -32,7 +41,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+PAIR_SEEDS = tuple(range(1, 11))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float,
@@ -51,23 +63,68 @@ def run(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(env[0]), json.loads(lines[-1])
 
 
-def record(checkout: Path, workloads, seed: int, seconds: float) -> dict:
-    """The file's contents but for ``pr``."""
-    rec = {"seed": seed, "seconds": seconds, "workloads": {}}
+def summary(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "values": list(values)}
+
+
+def compare(metric: dict, better: str) -> None:
+    """Add the pair statistics of the change against the parent."""
+    sign = 1.0 if better == "higher" else -1.0
+    parent, change = metric["parent"], metric["change"]
+    metric["pairs"] = len(parent["values"])
+    metric["change_won"] = sum(sign * (c - p) > 0 for p, c in
+                               zip(parent["values"], change["values"]))
+    metric["gap_exceeds_parent_iqr"] = bool(
+        abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"])
+
+
+def record(trees: dict, benchmark: dict, workloads, seeds, seconds) -> dict:
+    """The file's contents but for ``pr``.
+
+    trees maps each side, ``change`` and optionally ``parent``, to its
+    checkout; the pairs run in the order of seeds."""
+    better = {m["name"]: m["better"]
+              for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    rec = {"seeds": list(seeds), "seconds": seconds,
+           "sides": {side: {} for side in trees}, "workloads": {}}
+
     for name in workloads:
-        env, plain = run(checkout, name, seed, seconds, 0)
-        _, traced = run(checkout, name, seed, seconds, 1)
-        rec.setdefault("env", env)
-        layer = traced["metrics"].items()
+        runs = {side: [] for side in trees}
+
+        def one(side, seed, trace):
+            env, res = run(trees[side], name, seed, seconds, trace)
+            rec["sides"][side].setdefault("env", env)
+            runs[side].append({"seed": seed, "trace": trace,
+                               **{k: res[k] for k in
+                                  ("correct", "attempted", "failed")}})
+            return res["metrics"]
+
+        plain = {side: [] for side in trees}
+        for i, seed in enumerate(seeds):
+            for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+                plain[side].append(one(side, seed, 0))
+        traced = {side: one(side, seeds[0], 1) for side in trees}
+        end_to_end = {}
+        for metric, m in plain[next(iter(trees))][0].items():
+            end_to_end[metric] = {"unit": m["unit"], "better": better[metric],
+                                  **{side: summary([r[metric]["value"]
+                                                    for r in plain[side]])
+                                     for side in trees}}
+            if "parent" in trees:
+                compare(end_to_end[metric], better[metric])
+        layer = {metric: {"unit": m["unit"], "better": better[metric],
+                          **{side: traced[side][metric]["value"]
+                             for side in trees}}
+                 for metric, m in traced[next(iter(trees))].items()}
         rec["workloads"][name] = {
-            "end_to_end": plain["metrics"],
-            "self_s": {k: v for k, v in layer if k.endswith(".self_s")},
-            "sizes": {k: v for k, v in layer if not k.endswith(".self_s")},
-            "runs": {f"trace{t}": {k: res[k] for k in
-                                   ("correct", "attempted", "failed")}
-                     for t, res in ((0, plain), (1, traced))},
+            "end_to_end": end_to_end,
+            "self_s": {k: v for k, v in layer.items() if k.endswith(".self_s")},
+            "sizes": {k: v for k, v in layer.items()
+                      if not k.endswith(".self_s")},
+            "runs": runs,
         }
-    rec["commit"] = rec["env"]["commit"]
     return rec
 
 
@@ -75,17 +132,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True,
                     help="the number N in BENCH_<N>.json")
-    ap.add_argument("--checkout", default=str(ROOT),
-                    help="the checkout whose perfbench/run.py runs")
+    ap.add_argument("--parent", help="the parent's checkout: record pairs")
     args = ap.parse_args(argv)
-    checkout = Path(args.checkout).resolve()
-    if not (checkout / "perfbench" / "run.py").is_file():
-        print(f"error: {checkout} holds no perfbench/run.py", file=sys.stderr)
-        return 2
+    trees = {"change": ROOT}
+    if args.parent is not None:
+        trees = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    for checkout in trees.values():
+        if not (checkout / "perfbench" / "run.py").is_file():
+            print(f"error: {checkout} holds no perfbench/run.py",
+                  file=sys.stderr)
+            return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
+    seeds = PAIR_SEEDS if "parent" in trees else (1,)
     try:
-        rec = record(checkout, workloads, 1, benchmark["run_seconds"])
+        rec = record(trees, benchmark, workloads, seeds,
+                     benchmark["run_seconds"])
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -94,7 +156,12 @@ def main(argv=None) -> int:
                               sort_keys=True) + "\n")
     for name, w in rec["workloads"].items():
         for metric, m in w["end_to_end"].items():
-            print(f"{name:<9} {metric:<12} {m['value']:.6g} {m['unit']}")
+            line = "  ".join(f"{side} {m[side]['median']:.6g}"
+                             for side in trees)
+            if "parent" in trees:
+                line += (f"  won {m['change_won']}/{m['pairs']}  gap > IQR "
+                         f"{m['gap_exceeds_parent_iqr']}")
+            print(f"{name:<9} {metric:<12} {line} {m['unit']}")
     print(f"# wrote {out}")
     return 0
 
