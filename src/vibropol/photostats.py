@@ -74,7 +74,8 @@ class G2Histogram:
 
 
 class _Drawn(NamedTuple):
-    """A stream drawn as it is read; g2_histogram counts it block by block."""
+    """A stream drawn as it is read, once: g2_histogram counts it block by
+    block."""
 
     size: float         # bound on its tag count: 12 sigma over the mean
     blocks: Iterator    # (ps tags, channels) pieces in time order

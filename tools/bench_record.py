@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-PAIR_SEEDS = tuple(range(1, 11))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float,
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
             return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
-    seeds = PAIR_SEEDS if "parent" in trees else (1,)
+    seeds = tuple(range(1, 11)) if "parent" in trees else (1,)
     try:
         rec = record(trees, benchmark, workloads, seeds,
                      benchmark["run_seconds"])
