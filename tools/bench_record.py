@@ -1,7 +1,7 @@
 """Record one benchmark point of the trajectory as ``BENCH_<N>.json``.
 
-    python3 tools/bench_record.py --pr 33 --parent path/to/parent
-    python3 tools/bench_record.py --pr 33
+    python3 tools/bench_record.py --pr N --parent path/to/parent
+    python3 tools/bench_record.py --pr N
 
 With ``--parent``, runs the parent's and this checkout's
 ``perfbench/run.py`` in turn, each tree its own: on each workload of
