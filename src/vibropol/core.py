@@ -12,6 +12,7 @@ deg); ellipticity on [-45, 45] deg.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 import numpy as np
 
@@ -60,6 +61,12 @@ def _stokes_psi_dop_chi(s0, s1, s2, s3=0.0) -> tuple:
         chi = np.where(mag > 0, 0.5 * np.rad2deg(np.arcsin(
             np.clip(s3 / mag, -1.0, 1.0))), 0.0)
     return psi, dop, chi
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed numpy's SeedSequence would not take."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError("seed must be a non-negative integer")
 
 
 def _require_finite(obj, names) -> None:

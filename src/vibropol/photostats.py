@@ -10,20 +10,24 @@ normalization for pulsed antibunching values.
 A stream is drawn in time order, a block at a time: emitting pulses are
 skip-sampled by geometric gaps, background arrivals are summed
 exponential gaps, and each source has its own random generator, so the
-tags do not depend on the block size.  g2_histogram counts such a stream
-as it is drawn, in offset passes over 2^16-tag blocks, and holds about
-two blocks of tags whatever the stream's length; simulate_stream writes
-the same blocks into one PhotonStream.
+tags do not depend on the block size.  Below p = 1/3 the gaps are numpy's
+own inversion of a standard exponential, vectorised to the same bits.
+g2_histogram counts such a stream as it is drawn, in offset passes over
+2^16-tag blocks, and holds about two blocks of tags whatever the
+stream's length; simulate_stream writes the same blocks into one
+PhotonStream.  A block's passes slice it whole until fewer than
+_INDEX_FRACTION of its tags pair, then gather the tags that still do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, ValidationError
+from .core import MAX_GRID_POINTS, ValidationError, _check_seed
 
 # pulses plus expected background counts simulate_stream may hold in one
 # PhotonStream (13 s at 20 MHz)
@@ -31,6 +35,9 @@ MAX_STREAM_EVENTS = 2 ** 28
 # tag comparisons g2_histogram may make: offset passes times tags
 MAX_PASS_WORK = 2 ** 30
 _BLOCK_TAGS = 2 ** 16     # tags per draw chunk and per g2_histogram block
+# g2_histogram's passes gather a block's pairing tags once fewer than
+# this fraction pair: a gather of a fraction f costs about 3f of a slice
+_INDEX_FRACTION = 1 / 4
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,9 @@ class _Drawn(NamedTuple):
     """A stream drawn as it is read, once: g2_histogram counts it block by
     block."""
 
-    size: float         # bound on its tag count: 12 sigma over the mean
-    blocks: Iterator    # (ps tags, channels) pieces in time order
+    size: float          # bound on its tag count: 12 sigma over the mean
+    blocks: Iterator     # (ps tags, channels) pieces in time order
+    span_ps: float = 0.0   # bound on its tags: the duration, in ps
 
 
 def _draw_stream(signal_prob: float, background_rate: float,
@@ -92,6 +100,7 @@ def _draw_stream(signal_prob: float, background_rate: float,
         raise ValidationError("rates, lifetime and duration must be positive")
     if not 0.0 <= background_rate < np.inf:   # inf: arrivals never advance
         raise ValidationError("background_rate must be finite and >= 0")
+    _check_seed(seed)
     period_ns = 1e3 / rep_rate_mhz
     if lifetime_ns >= period_ns / 5.0:
         raise ValidationError(f"lifetime {lifetime_ns} ns too long for the "
@@ -107,7 +116,23 @@ def _draw_stream(signal_prob: float, background_rate: float,
     mean = n_pulses * signal_prob + background_rate * duration_s
     return _Drawn(mean + 12.0 * np.sqrt(mean) + 64,
                   _blocks(signal_prob, background_rate, period_ns,
-                          lifetime_ns, n_pulses, duration_s * 1e9, seed))
+                          lifetime_ns, n_pulses, duration_s * 1e9, seed),
+                  duration_s * 1e12)
+
+
+def _gaps(gen, p, cap, out):
+    """gen.geometric(p, out.size) clipped at cap, in int64; out is scratch.
+
+    For p < 1/3 numpy draws each gap as ceil(E / -log1p(-p)) from one
+    standard exponential E; the same draw vectorised gives the same gaps
+    and leaves gen as geometric would.  Larger p keeps numpy's search.
+    """
+    if p >= 1 / 3:
+        return np.minimum(gen.geometric(p, out.size), cap)
+    gen.standard_exponential(out=out)
+    out /= -math.log1p(-p)
+    np.ceil(out, out=out)
+    return np.minimum(out, cap, out=out).astype(np.int64)
 
 
 def _blocks(signal_prob, background_rate, period_ns, lifetime_ns, n_pulses,
@@ -123,6 +148,9 @@ def _blocks(signal_prob, background_rate, period_ns, lifetime_ns, n_pulses,
     last = -1 if signal_prob > 0 else n_pulses     # last hit drawn
     prev = 0.0 if background_rate > 0 else np.inf   # last arrival drawn
     sig, bg, ch = np.empty(0), np.empty(0), np.empty(0, np.int8)
+    # standard exponentials, scaled in place in one buffer drawn into again
+    # (exponential(scale, m) is scale times the same draws)
+    e = np.empty(_BLOCK_TAGS)
     while True:
         sig_at = (last + 1) * period_ns if last < n_pulses - 1 else np.inf
         here = min(sig_at, prev)
@@ -142,21 +170,23 @@ def _blocks(signal_prob, background_rate, period_ns, lifetime_ns, n_pulses,
             return
         if sig_at <= prev:
             # hits: last plus gaps, clipped so sums cannot wrap
-            g = gaps.geometric(signal_prob, _BLOCK_TAGS)
-            np.minimum(g, n_pulses + 1, out=g)
+            g = _gaps(gaps, signal_prob, n_pulses + 1, e)
             np.cumsum(g, out=g); g += last
             m = np.searchsorted(g, n_pulses)
-            s = g[:m] * period_ns; s += delays.exponential(lifetime_ns, m)
-            sig = np.concatenate((sig, s)); sig.sort(kind="stable")
+            s = delays.standard_exponential(out=e[:m]); s *= lifetime_ns
+            s += g[:m] * period_ns
+            sig = np.concatenate((sig, s))
+            if np.any(sig[1:] < sig[:-1]):    # a zero gap: two hits on a pulse
+                sig.sort(kind="stable")
             last = g[-1]
-            del g, s      # dead until the next draw: free them now
+            del g         # dead until the next draw: free it now
         else:
-            a = background.exponential(1e9 / background_rate, _BLOCK_TAGS)
+            a = background.standard_exponential(out=e)
+            a *= 1e9 / background_rate
             a[0] += prev; np.cumsum(a, out=a)
             k = np.searchsorted(a, end_ns)
             bg = np.concatenate((bg, a[:k]))
             prev = a[-1] if k == a.size else np.inf
-            del a
 
 
 def simulate_stream(signal_prob: float, background_rate: float,
@@ -237,10 +267,24 @@ def g2_histogram(stream: PhotonStream | _Drawn, bin_width_ns: float,
     The error combines Poisson counting on the center peak with the
     standard error of the side-peak sums.  A stream from _draw_stream is
     drawn here, block by block, as the count reaches it.
+
+    A block is counted in offset passes: slices of the whole block until
+    fewer than _INDEX_FRACTION of its tags have a partner in the window,
+    then gathers of the tags that still do.  Float64 tags of t ps lie
+    np.spacing(t) apart, so a stream is refused, before any count, when
+    that spacing at its last tag (its duration, if drawn) exceeds 1/64 of
+    a bin: rounding then moves no delay by more than about 1/64 of a bin.
     """
     n_bins = histogram_bins(bin_width_ns, window_ns, rep_period_ns)
-    size = (stream.time_tags.size if isinstance(stream, PhotonStream)
-            else stream.size)
+    if isinstance(stream, PhotonStream):
+        tags = stream.time_tags
+        size, span = tags.size, abs(tags[[0, -1]]).max() if tags.size else 0.0
+    else:
+        size, span = stream.size, stream.span_ps
+    if not np.spacing(span) <= bin_width_ns * 1e3 / 64:    # NaN at inf
+        raise ValidationError(f"time tags up to {span:.3g} ps lie "
+                              f"{np.spacing(span):g} ps apart, over 1/64 of "
+                              f"the {bin_width_ns:g} ns bin")
     # pass j pairs every tag with its j-th successor; in a sorted stream
     # the first pass with no pair inside the window ends the count.  A
     # block of tags is counted once its j_max successors have arrived.
@@ -248,7 +292,18 @@ def g2_histogram(stream: PhotonStream | _Drawn, bin_width_ns: float,
     edges = -window_ns + bin_width_ns * np.arange(n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     k_max = int(np.floor(window_ns / rep_period_ns - 0.5))
-    hist, peaks = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 1, int)
+    # |tau| <= window puts k = rint(tau / T) within k_max + 1 of 0: peaks
+    # k_max + 1 away fill the two outer slots, which no peak sum reads
+    hist, slots = np.zeros(n_bins, dtype=int), np.zeros(2 * k_max + 3, int)
+    taus, held = [], 0   # delays not yet binned, binned 2^16 or more at once
+
+    def bin_taus():
+        tau = np.concatenate(taus); taus.clear()
+        np.add(hist, np.histogram(tau, bins=edges)[0], out=hist)
+        k = np.divide(tau, rep_period_ns, out=tau)
+        k = np.rint(k, out=k).astype(int); k += k_max + 1
+        np.add(slots, np.bincount(k, minlength=slots.size), out=slots)
+
     n = ones = 0     # tags, and tags on channel 1
     for t, c in _windows(stream, _BLOCK_TAGS + j_max):
         t = t * 1e-3
@@ -257,22 +312,35 @@ def g2_histogram(stream: PhotonStream | _Drawn, bin_width_ns: float,
                                   f"one {window_ns:g} ns window")
         n += min(t.size, _BLOCK_TAGS)
         ones += int(np.count_nonzero(c[:_BLOCK_TAGS]))
-        taus, held = [], 0
+        # a tag with no partner at offset j has none past it: once few
+        # still pair, the passes gather those tags (live) in place of
+        # slicing the whole block
+        live = None
         for j in range(1, t.size):
-            e = min(_BLOCK_TAGS, t.size - j)   # pairs (i, i + j), i in block
-            d = t[j:j + e] - t[:e]
+            if live is None:
+                e = min(_BLOCK_TAGS, t.size - j)   # pairs (i, i + j)
+                d, c0, c1 = t[j:j + e] - t[:e], c[:e], c[j:j + e]
+            else:
+                # the stream's last tags have fewer than j successors
+                live = live[:np.searchsorted(live, t.size - j)]
+                after = live + j
+                d, c0, c1 = t[after] - t[live], c[live], c[after]
             near = d <= window_ns
-            i = np.flatnonzero(near & (c[j:j + e] != c[:e]))
-            taus.append(np.where(c[i], -d[i], d[i]))     # t1 - t0
-            held, done = held + i.size, j == t.size - 1 or not near.any()
-            if done or held >= _BLOCK_TAGS:   # np.histogram costs per call
-                tau, taus, held = np.concatenate(taus), [], 0
-                hist += np.histogram(tau, bins=edges)[0]
-                k = np.rint(tau / rep_period_ns).astype(int)
-                peaks += np.bincount(k[abs(k) <= k_max] + k_max,
-                                     minlength=peaks.size)
-            if done:
+            i = np.flatnonzero(near & (c0 != c1))
+            tau = d[i]; tau *= 1 - 2 * c0[i]     # t1 - t0
+            taus.append(tau); held += tau.size
+            if held >= _BLOCK_TAGS:    # np.histogram costs per call
+                bin_taus(); held = 0
+            pairing = np.count_nonzero(near)
+            if not pairing:
                 break
+            if live is not None:
+                live = live[near]
+            elif pairing < _INDEX_FRACTION * e:
+                live = np.flatnonzero(near)
+    if taus:
+        bin_taus()
+    peaks = slots[1:-1]
     if ones in (0, n):
         raise ValidationError("both detector channels must be populated")
     center_sum = int(peaks[k_max])

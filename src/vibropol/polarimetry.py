@@ -24,8 +24,8 @@ import numpy as np
 from .config import PRESET_NAMES, load_preset
 from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, PolarizationMap, ValidationError,
-                   _energy_bins, _stokes_psi_dop_chi, make_grid, slice_map,
-                   wrap_orientation, wrap_orientation_scalar)
+                   _check_seed, _energy_bins, _stokes_psi_dop_chi, make_grid,
+                   slice_map, wrap_orientation, wrap_orientation_scalar)
 from .dipole import opsb_offset, orientation_vs_energy
 
 # largest map maximum numpy's Poisson sampler accepts (its limit is ~9.2e18)
@@ -266,6 +266,7 @@ def simulate_polarization_map(model: EmitterModel, grid: EnergyGrid,
     if noise == "poisson" and counts_per_point > POISSON_MAX_COUNTS:
         raise ValidationError(
             f"poisson noise needs counts_per_point <= {POISSON_MAX_COUNTS:g}")
+    _check_seed(seed)
     n_angle = np.size(angles_deg)
     if not grid.n_points * n_angle <= MAX_GRID_POINTS:
         raise ValidationError(f"a map of {grid.n_points} energies x {n_angle} "

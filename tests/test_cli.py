@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -405,6 +406,35 @@ def test_non_finite_g2_stream_is_validation_error(tmp_path, capsys, argv):
     assert _run(["g2", *argv, "--out", str(out), "--quiet"]) == 2
     _assert_one_line_error(capsys, "error: validation:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2"],
+    ["simulate-map", "--preset", "weak_coupling", "--noise", "poisson"],
+], ids=["g2", "simulate_map"])
+def test_negative_seed_is_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert _run([*argv, "--seed", "-1", "--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation: seed must be a "
+                                   "non-negative integer")
+    assert not out.exists()
+
+
+def test_g2_tags_coarser_than_a_64th_bin_are_refused(tmp_path, capsys):
+    # 4e4 s in float64 ps: tags past 2^55 ps lie 8 ps apart, over 1/64 of
+    # the 0.5 ns bin; refused before the 8e11 pulses are drawn
+    out = tmp_path / "g2.csv"
+    start = time.process_time()
+    code = _run(["g2", "--signal-prob", "1e-6", "--duration", "4e4",
+                 "--out", str(out), "--quiet"])
+    assert code == 2 and time.process_time() - start < 1.0
+    _assert_one_line_error(capsys, "error: validation: time tags up to "
+                                   "4e+16 ps lie 8 ps apart, over 1/64 of "
+                                   "the 0.5 ns bin")
+    assert not out.exists()
+    # 3e4 s: 3e16 ps lies below 2^55, where tags are 4 ps apart
+    assert _run(["g2", "--signal-prob", "1e-6", "--duration", "3e4",
+                 "--out", str(out), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("line", [

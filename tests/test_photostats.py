@@ -251,6 +251,36 @@ def test_offset_passes_match_pair_expansion_across_blocks(
     test_offset_passes_match_pair_expansion(make, bin_width, window, period)
 
 
+def _edge_stream():
+    """Tags in whole ns, 2 us apart in groups of two or four, so that every
+    delay is exact: cross-channel pairs at +-window (bin edge and peak
+    k_max + 1) and at (k + 1/2) T (rint rounds half to even, 475 ns to
+    k_max + 1).  One group in ten holds four tags: about half the tags pair
+    at offset 1 and a tenth at offset 2, so each block switches to index
+    passes for offset 3, and the stream ends on a group of four."""
+    rng = np.random.default_rng(43)
+    pairs = np.array([500, 25, 75, 125, 425, 475])
+    quads = np.array([[0, 25, 100, 500], [0, 75, 475, 500], [0, 50, 125, 475]])
+    groups = []
+    for g in range(40_000):
+        base = 2000 * g
+        if g % 10 == 9 or g == 39_999:
+            groups.append((base + quads[g % 3], rng.integers(0, 2, 4)))
+        else:
+            c = rng.integers(0, 2)
+            groups.append((base + np.array([0, rng.choice(pairs)]),
+                           np.array([c, 1 - c])))
+    t_ns = np.concatenate([t for t, _ in groups]).astype(float)
+    assert np.array_equal(t_ns * 1e3 * 1e-3, t_ns)   # exact in ps and back
+    return PhotonStream(t_ns * 1e3, np.concatenate([c for _, c in groups]))
+
+
+@pytest.mark.parametrize("block", [2 ** 16, 1000])
+def test_offset_passes_match_pair_expansion_on_edges(monkeypatch, block):
+    monkeypatch.setattr(photostats, "_BLOCK_TAGS", block)
+    test_offset_passes_match_pair_expansion(_edge_stream, 0.5, 500.0, 50.0)
+
+
 @pytest.mark.parametrize("block", [2 ** 16, 1000])
 @pytest.mark.parametrize(*_PAIR_CASES.args, **_PAIR_CASES.kwargs)
 def test_drawn_stream_counts_as_its_built_stream(monkeypatch, block, make,
@@ -348,6 +378,20 @@ def test_in_place_build_is_bit_identical(args):
     assert digest == reference
     if args in _PINNED:
         assert (digest[2], digest[3][:16]) == _PINNED[args]
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-9, 0.01, 0.1,
+                               np.nextafter(1 / 3, 0)])
+def test_gaps_below_a_third_are_numpys_geometric(p):
+    # numpy's own inversion, vectorised: the same gaps after the clip, and
+    # the generator left in the same state
+    cap = 10 ** 12
+    numpy_gen, gen = np.random.default_rng(44), np.random.default_rng(44)
+    expected = np.minimum(numpy_gen.geometric(p, 5000), cap)
+    gaps = photostats._gaps(gen, p, cap, np.empty(5000))
+    assert gaps.dtype == np.int64 and np.array_equal(gaps, expected)
+    assert gen.bit_generator.state == numpy_gen.bit_generator.state
+    assert np.all(gaps == cap) == (p == 1e-300)
 
 
 def _traced_peak(fn, *args):
