@@ -84,9 +84,9 @@ class _Drawn(NamedTuple):
     """A stream drawn as it is read, once: g2_histogram counts it block by
     block."""
 
-    size: float          # bound on its tag count: 12 sigma over the mean
-    blocks: Iterator     # (ps tags, channels) pieces in time order
-    span_ps: float = 0.0   # bound on its tags: the duration, in ps
+    size: float         # bound on its tag count: 12 sigma over the mean
+    blocks: Iterator    # (ps tags, channels) pieces in time order
+    span_ps: float = np.inf   # bound on its tags in ps; inf is not counted
 
 
 def _draw_stream(signal_prob: float, background_rate: float,

@@ -264,7 +264,7 @@ def _edge_stream():
     groups = []
     for g in range(40_000):
         base = 2000 * g
-        if g % 10 == 9 or g == 39_999:
+        if g % 10 == 9:       # groups 9, 19, ..., 39999
             groups.append((base + quads[g % 3], rng.integers(0, 2, 4)))
         else:
             c = rng.integers(0, 2)
