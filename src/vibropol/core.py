@@ -275,9 +275,10 @@ class MapSlice:
     partial: bool = False
 
 
-def _energy_bins(grid: EnergyGrid, bin_width_mev: float):
-    """Yield (mask, lo, hi, partial) for each non-empty energy bin, by
-    the binning rule ``slice_map`` documents."""
+def _energy_bins(grid: EnergyGrid, bin_width_mev: float) -> tuple:
+    """(rows, centers, partial) of the non-empty energy bins, by the
+    binning rule ``slice_map`` documents: each bin's row slice of the
+    grid, its center energy, and whether it is a narrower trailing bin."""
     width_ev = bin_width_mev * 1e-3
     spacing = grid.spacing
     if not bin_width_mev > 0:
@@ -286,19 +287,16 @@ def _energy_bins(grid: EnergyGrid, bin_width_mev: float):
         raise ValidationError(
             f"bin width {bin_width_mev} meV is smaller than the grid "
             f"spacing {spacing * 1e3:.6g} meV")
-    energies = grid.points
-    # half-spacing shift so each point lands in exactly one bin
-    idx = np.floor((energies - grid.min_energy) / width_ev + 1e-12).astype(int)
-    n_bins = idx.max() + 1
+    # + 1e-12: a point on a bin edge, to rounding, opens the next bin
+    idx = np.floor((grid.points - grid.min_energy) / width_ev + 1e-12)
+    # the grid rises, so each bin's points are one run of rows
+    b, start = np.unique(idx, return_index=True)
+    rows = list(map(slice, start.tolist(), [*start[1:].tolist(), idx.size]))
+    lo = grid.min_energy + b * width_ev
+    hi = np.minimum(lo + width_ev, grid.max_energy)
     span = grid.max_energy - grid.min_energy
-    for b in range(n_bins):
-        sel = idx == b
-        if not np.any(sel):
-            continue
-        lo = grid.min_energy + b * width_ev
-        hi = min(lo + width_ev, grid.max_energy)
-        partial = (span - b * width_ev) < width_ev * (1.0 - 1e-9)
-        yield sel, lo, hi, partial
+    partial = (span - b * width_ev) < width_ev * (1.0 - 1e-9)
+    return rows, 0.5 * (lo + hi), partial
 
 
 def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
@@ -309,10 +307,9 @@ def slice_map(pmap: PolarizationMap, bin_width_mev: float) -> list:
     trailing bin narrower than bin_width is kept and flagged partial.
     Total counts are conserved exactly.
     """
-    return [MapSlice(0.5 * (lo + hi), pmap.intensity[sel, :].sum(axis=0),
-                     partial)
-            for sel, lo, hi, partial in _energy_bins(pmap.grid,
-                                                     bin_width_mev)]
+    rows, centers, partial = _energy_bins(pmap.grid, bin_width_mev)
+    return [MapSlice(c, pmap.intensity[r].sum(axis=0), p)
+            for r, c, p in zip(rows, centers.tolist(), partial.tolist())]
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import MAX_GRID_POINTS, ValidationError, _check_seed
 
-# pulses plus expected background counts simulate_stream may hold in one
-# PhotonStream (13 s at 20 MHz)
+# tag bound simulate_stream may size one PhotonStream to (13 s at 20 MHz
+# and p = 1)
 MAX_STREAM_EVENTS = 2 ** 28
 # tag comparisons g2_histogram may make: offset passes times tags
 MAX_PASS_WORK = 2 ** 30
@@ -197,14 +197,15 @@ def simulate_stream(signal_prob: float, background_rate: float,
     signal_prob is the per-pulse detection probability of the emitter
     photon; background_rate is in counts/s.  Deterministic under a fixed
     seed.  The stream's blocks go into one buffer, sized to 12 sigma over
-    the mean tag count and grown a chunk at a time past it.
+    the mean tag count and grown a chunk at a time past it; a stream
+    whose buffer would exceed MAX_STREAM_EVENTS tags is refused before
+    any draw.
     """
     drawn = _draw_stream(signal_prob, background_rate, rep_rate_mhz,
                          lifetime_ns, duration_s, seed)
-    n_events = (rep_rate_mhz * 1e6 + background_rate) * duration_s
-    if not n_events <= MAX_STREAM_EVENTS:
-        raise ValidationError(f"stream would hold {n_events:.3g} pulses and "
-                              f"background counts (limit {MAX_STREAM_EVENTS})")
+    if not drawn.size <= MAX_STREAM_EVENTS:
+        raise ValidationError(f"stream would hold up to {drawn.size:.3g} "
+                              f"tags (limit {MAX_STREAM_EVENTS})")
     tags, n = np.empty(int(drawn.size)), 0
     ch = np.empty(tags.size, dtype=np.int8)
     for t, c in drawn.blocks:

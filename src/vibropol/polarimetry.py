@@ -25,7 +25,7 @@ from .config import PRESET_NAMES, load_preset
 from .core import (MAX_GRID_POINTS, EmitterModel, EnergyGrid, NumericalError,
                    OrientationCurve, PolarizationMap, ValidationError,
                    _check_seed, _energy_bins, _stokes_psi_dop_chi, make_grid,
-                   slice_map, wrap_orientation, wrap_orientation_scalar)
+                   wrap_orientation, wrap_orientation_scalar)
 from .dipole import opsb_offset, orientation_vs_energy
 
 # largest map maximum numpy's Poisson sampler accepts (its limit is ~9.2e18)
@@ -310,12 +310,13 @@ def analyze_map(pmap: PolarizationMap, mode: str = "analyzer",
         raise ValidationError(f"unknown map mode {mode!r}")
     # the angle set is checked once, before any bin
     response = _checked_response(mode, pmap.angles)
-    slices = [s for s in slice_map(pmap, bin_width_mev) if not s.partial]
-    if len(slices) < 2:
+    rows, centers, partial = _energy_bins(pmap.grid, bin_width_mev)
+    centers = centers[~partial]
+    if centers.size < 2:
         raise ValidationError("map yields fewer than 2 full bins")
-    centers = np.array([s.center_energy for s in slices])
     grid = EnergyGrid(centers[0], centers[-1], centers.size)
-    profiles = np.array([s.profile for s in slices])     # bin x angle
+    profiles = np.array([pmap.intensity[r].sum(axis=0)   # bin x angle
+                         for r, p in zip(rows, partial) if not p])
     weight = profiles.sum(axis=1)
     stokes, rms = _invert(response, profiles.T)
     psi, dolp, chi = _stokes_psi_dop_chi(*stokes)
@@ -331,9 +332,10 @@ def binned_forward_psi(curve: OrientationCurve,
     """Orientation (deg) of the summed forward Stokes vector in each full
     bin, binned as ``analyze_map`` bins a map of ``curve``; NaN where a
     bin carries no polarization."""
-    sums = [[s[sel].sum() for s in _forward_stokes(curve)]
-            for sel, _, _, partial in _energy_bins(curve.grid, bin_width_mev)
-            if not partial]
+    rows, _, partial = _energy_bins(curve.grid, bin_width_mev)
+    stokes = _forward_stokes(curve)
+    sums = [[s[r].sum() for s in stokes]
+            for r, p in zip(rows, partial) if not p]
     return _stokes_psi_dop_chi(*np.reshape(sums, (-1, 3)).T)[0]
 
 

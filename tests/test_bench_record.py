@@ -53,6 +53,9 @@ def test_a_short_g2_run_is_recorded():
         gap = abs(m["change"]["median"] - m["parent"]["median"])
         assert m["gap_exceeds_parent_iqr"] == (
             gap > m["parent"]["q3"] - m["parent"]["q1"])
+        assert m["median_pair_ratio"] == np.median(
+            [c / p for p, c in zip(m["parent"]["values"],
+                                   m["change"]["values"])])
     assert g2["end_to_end"]["ok_frac"]["change"]["values"] == [1.0, 1.0]
     assert set(g2["self_s"]) | set(g2["sizes"]) == {
         m["name"] for m in benchmark["per_layer"]}

@@ -312,6 +312,53 @@ def test_bad_float_flag_is_validation_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["spectrum", "--preset", "weak_coupling", "--grid", "1.8:1.9"],
+     "grid must be min:max:n, got '1.8:1.9'"),
+    (["spectrum", "--preset", "weak_coupling", "--grid", "1.8:x:11"],
+     "bad grid '1.8:x:11'"),
+    (["simulate-map", "--preset", "weak_coupling", "--angles", "0:180"],
+     "angles must be start:stop:step, got '0:180'"),
+    (["simulate-map", "--preset", "weak_coupling", "--angles", "0:x:10"],
+     "bad angles '0:x:10'"),
+    (["simulate-map", "--preset", "weak_coupling", "--angles", "90:90:10"],
+     "angles need stop > start and step > 0"),
+    (["spectrum"], "one of --preset or --config is required"),
+], ids=["grid_form", "grid_number", "angles_form", "angles_number",
+        "angles_stop", "no_model"])
+def test_malformed_flag_is_validation_error(tmp_path, capsys, argv, reason):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, f"error: validation: {reason}")
+    assert not out.exists()
+
+
+def test_spectral_function_writes_the_given_grid(tmp_path):
+    from vibropol import load_preset, make_grid
+    from vibropol.vibronic import spectral_function
+    out = tmp_path / "sf.csv"
+    assert _run(["spectral-function", "--preset", "weak_coupling",
+                 "--grid-mev", "140:185:451", "--out", str(out),
+                 "--quiet"]) == 0
+    spec = read_spectrum(out, abscissa="energy_mev")
+    grid = spec.grid
+    assert (grid.min_energy, grid.max_energy, grid.n_points) == (140, 185, 451)
+    ref = spectral_function(load_preset("weak_coupling").modes, 2.0,
+                            make_grid(140.0, 185.0, 451))
+    assert np.allclose(spec.intensity, ref.intensity, rtol=1e-11, atol=0)
+
+
+def test_spectral_function_of_a_model_without_modes_needs_a_grid(tmp_path,
+                                                                 capsys):
+    cfg, out = tmp_path / "bare.cfg", tmp_path / "sf.csv"
+    cfg.write_text("zpl_energy_ev = 1.848\nzpl_linewidth_mev = 1\n")
+    assert _run(["spectral-function", "--config", str(cfg), "--out",
+                 str(out), "--quiet"]) == 2
+    _assert_one_line_error(capsys, "error: validation: model has no modes; "
+                                   "give --grid-mev")
+    assert not out.exists()
+
+
 def test_simulate_map_rejects_non_positive_counts():
     from vibropol import load_preset, make_grid, simulate_polarization_map
     from vibropol.core import ValidationError

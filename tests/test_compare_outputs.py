@@ -21,14 +21,16 @@ def test_a_tree_matches_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"# A = {ROOT / 'src'}", f"# B = {ROOT / 'src'}"]
     files = [ln.split()[0] for ln in lines[2:-1]]
-    # 12 spectra, 8 analyzer and 8 RQWP maps with their 16 reports, the
-    # Lorentzian 4 spectra, 2 maps and 2 reports, g2 and the roundtrip report
-    assert len(files) == 54 and "g2.csv" in files
+    # 12 spectra, 8 analyzer and 8 RQWP maps with their 16 reports, 2
+    # reports in 2.7 meV bins, the Lorentzian 4 spectra, 2 maps and 2
+    # reports, g2 and the roundtrip report
+    assert len(files) == 56 and "g2.csv" in files
     assert {"roundtrip.csv", "report-rqwp-weak_coupling-6K-poisson.csv",
+            "report-analyzer-strong_coupling-300K-poisson-2.7meV.csv",
             "spectrum-lorentzian-strong_coupling-0K.csv",
             "report-lorentzian-weak_coupling-300K.csv"} <= set(files)
     assert all(ln.endswith("  identical") for ln in lines[2:-1])
-    assert lines[-1] == "# 54 of 54 files identical"
+    assert lines[-1] == "# 56 of 56 files identical"
 
 
 def test_differing_rows_are_counted_against_the_column_peak(tmp_path):

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibropol import (EnergyGrid, EmitterModel, PhononMode, PolarizationMap,
                       Spectrum, ValidationError, condon_limit, make_grid,
                       slice_map, wrap_orientation)
-from vibropol.core import OrientationCurve, wrap_orientation_scalar
+from vibropol.core import (OrientationCurve, _energy_bins,
+                           wrap_orientation_scalar)
 
 
 def test_two_point_grid():
@@ -166,6 +170,78 @@ def test_slice_map_conserves_counts():
 def test_slice_map_rejects_too_narrow_bin():
     with pytest.raises(ValidationError):
         slice_map(_uniform_map(), 0.5)
+
+
+def _mask_bins(grid, bin_width_mev):
+    """The binning rule one boolean mask a bin at a time: (rows, center,
+    partial) of each non-empty bin, after the same checks."""
+    width_ev = bin_width_mev * 1e-3
+    spacing = grid.spacing
+    if not bin_width_mev > 0:
+        raise ValidationError("bin_width must be > 0")
+    if width_ev < spacing * (1.0 - 1e-9):
+        raise ValidationError(
+            f"bin width {bin_width_mev} meV is smaller than the grid "
+            f"spacing {spacing * 1e3:.6g} meV")
+    energies = grid.points
+    idx = np.floor((energies - grid.min_energy) / width_ev + 1e-12).astype(int)
+    span = grid.max_energy - grid.min_energy
+    bins = []
+    for b in range(idx.max() + 1):
+        sel = idx == b
+        if not np.any(sel):
+            continue
+        lo = grid.min_energy + b * width_ev
+        hi = min(lo + width_ev, grid.max_energy)
+        bins.append((np.flatnonzero(sel), 0.5 * (lo + hi),
+                     (span - b * width_ev) < width_ev * (1.0 - 1e-9)))
+    return bins
+
+
+@st.composite
+def _grid_and_width(draw):
+    """A grid and a bin width (meV): any width of at least the spacing, one
+    within 1e-9 of it, or one that the grid's span ends within 1e-9 of a
+    multiple of."""
+    lo = draw(st.floats(0.05, 3.0))
+    width = draw(st.floats(0.01, 20.0))          # meV
+    kind = draw(st.sampled_from(["any", "spacing", "edge"]))
+    if kind == "edge":
+        n_bins, per_bin = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+        off = draw(st.sampled_from([0.0, 1e-12, -1e-12])
+                   | st.floats(-1e-9, 1e-9))
+        span = n_bins * width * 1e-3 * (1.0 + off)
+        return make_grid(lo, lo + span, n_bins * per_bin + 1), width
+    grid = make_grid(lo, lo + draw(st.floats(1e-4, 0.3)),
+                     draw(st.integers(2, 2000)))
+    if kind == "spacing":
+        return grid, grid.spacing * 1e3 * (1.0 + draw(st.floats(-2e-9, 2e-9)))
+    return grid, grid.spacing * 1e3 * draw(st.floats(1.0, 300.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_grid_and_width())
+def test_bin_table_is_the_mask_rule(case):
+    grid, width = case
+    try:
+        ref = _mask_bins(grid, width)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            _energy_bins(grid, width)
+        return
+    rows, centers, partial = _energy_bins(grid, width)
+    assert len(rows) == centers.size == partial.size == len(ref)
+    assert partial.dtype == bool
+    points = np.arange(grid.n_points)
+    for r, c, p, (sel, center, part) in zip(rows, centers, partial, ref):
+        assert np.array_equal(points[r], sel)
+        assert c.hex() == center.hex() and p == part
+
+
+def test_sweep_without_a_valid_bin_is_zero():
+    c = OrientationCurve(make_grid(1.0, 2.0, 3), np.full(3, np.nan),
+                         np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))
+    assert c.sweep() == 0.0
 
 
 def test_orientation_curve_shape_checks():

@@ -40,6 +40,21 @@ def test_stream_validation():
         simulate_stream(0.1, 0.0, 20.0, 11.0, 0.1)
 
 
+def test_stream_cap_counts_the_tags_it_sizes(monkeypatch):
+    # 4e8 pulses at p = 1e-3 bound about 4.1e5 tags: built, not refused
+    stream = simulate_stream(1e-3, 0.0, 20.0, 2.0, 20.0, seed=3)
+    assert abs(stream.time_tags.size - 4e5) < 6 * np.sqrt(4e5)
+
+    def drawn(*args):
+        raise AssertionError("a gap was drawn")
+
+    # 2.8e8 tags at p = 1 exceed 2^28: refused before any draw
+    monkeypatch.setattr(photostats, "_gaps", drawn)
+    with pytest.raises(ValidationError, match=r"stream would hold up to "
+                       r"2\.8e\+08 tags \(limit 268435456\)"):
+        simulate_stream(1.0, 0.0, 20.0, 2.0, 14.0)
+
+
 def test_photon_stream_type_validation():
     with pytest.raises(ValidationError):
         PhotonStream(np.array([2.0, 1.0]), np.array([0, 1]))
@@ -127,6 +142,10 @@ def test_g2_histogram_validation():
     single = PhotonStream(np.array([1.0, 2.0]), np.array([0, 0]))
     with pytest.raises(ValidationError):
         g2_histogram(single, 0.5, 500.0, 50.0)
+    # one cross-channel pair 1 ns apart: a center peak and no side peak
+    pair = PhotonStream(np.array([0.0, 1e3]), np.array([0, 1]))
+    with pytest.raises(ValidationError, match="no side-peak coincidences"):
+        g2_histogram(pair, 0.5, 500.0, 50.0)
 
 
 def test_histogram_determinism():

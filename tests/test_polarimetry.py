@@ -344,6 +344,18 @@ def test_map_bins_are_the_single_trace_analyses(mode):
         assert 0.0 < curve.rms_residual[i] == pytest.approx(rms, rel=1e-9)
 
 
+def test_analyze_map_needs_two_full_bins():
+    # a 10 meV map in 6 meV bins: one full bin and a 4 meV partial one
+    grid = make_grid(1.600, 1.610, 11)
+    angles = np.arange(0.0, 180.0, 10.0)
+    pmap = PolarizationMap(grid, angles, np.ones((11, angles.size)))
+    assert [s.partial for s in slice_map(pmap, 6.0)] == [False, True]
+    with pytest.raises(ValidationError,
+                       match="map yields fewer than 2 full bins"):
+        analyze_map(pmap, bin_width_mev=6.0)
+    assert analyze_map(pmap, bin_width_mev=5.0).grid.n_points == 2
+
+
 def test_binned_forward_psi_is_on_the_canonical_branch():
     # psi = 90 deg gives s2 = +1e-16 s1: its atan2 read +90, off [-90, 90)
     grid = make_grid(1.80, 1.82, 21)

@@ -19,7 +19,10 @@ untraced and once traced, at seed 1.  The file it writes,
   ``values`` in seed order.  With a parent it also holds ``pairs``,
   ``change_won`` (pairs where the change reads better; a tie counts for
   neither side) and ``gap_exceeds_parent_iqr`` (the medians differ by
-  more than the parent's quartile distance);
+  more than the parent's quartile distance) and ``median_pair_ratio``
+  (the median over pairs of change / parent: host load that the two
+  runs of a pair share moves it less than the medians; no metric reads
+  0);
 - ``self_s`` and ``sizes``: the traced runs' per-layer self times, and
   their other per-layer metrics (problem sizes, counts and fractions),
   per side;
@@ -77,6 +80,8 @@ def compare(metric: dict, better: str) -> None:
                                zip(parent["values"], change["values"]))
     metric["gap_exceeds_parent_iqr"] = bool(
         abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"])
+    metric["median_pair_ratio"] = float(np.median(
+        [c / p for p, c in zip(parent["values"], change["values"])]))
 
 
 def record(trees: dict, benchmark: dict, workloads, seeds, seconds) -> dict:
@@ -158,7 +163,8 @@ def main(argv=None) -> int:
             line = "  ".join(f"{side} {m[side]['median']:.6g}"
                              for side in trees)
             if "parent" in trees:
-                line += (f"  won {m['change_won']}/{m['pairs']}  gap > IQR "
+                line += (f"  won {m['change_won']}/{m['pairs']}  ratio "
+                         f"{m['median_pair_ratio']:.4g}  gap > IQR "
                          f"{m['gap_exceeds_parent_iqr']}")
             print(f"{name:<9} {metric:<12} {line} {m['unit']}")
     print(f"# wrote {out}")

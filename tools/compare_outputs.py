@@ -11,7 +11,10 @@ its own scratch directory, with the same relative file names, so the
   default full-band grid;
 - ``simulate-map`` in both modes (analyzer and RQWP) on both presets at 6
   and 300 K, with noise ``none`` and ``poisson`` (seed 7), each followed by
-  ``analyze-map`` in its mode;
+  ``analyze-map`` in its mode, at the default 4 meV bins;
+- ``analyze-map --bin-width 2.7`` of the strong preset's 300 K analyzer
+  maps, noise-free and Poisson: 22 full bins and a trailing 0.6 meV
+  partial one;
 - with a ``--config`` file holding ``zpl_profile = lorentzian`` over each
   preset: ``spectrum`` at 0 and 300 K, and the noise-free analyzer map at
   300 K with its ``analyze-map`` report;
@@ -76,6 +79,10 @@ def commands() -> list:
                             ["analyze-map", "--in", f"map-{name}.csv",
                              "--mode", mode, "--out", f"report-{name}.csv",
                              "--quiet"]]
+    for noise in ("none", "poisson"):
+        name = f"analyzer-strong_coupling-300K-{noise}"
+        out.append(["analyze-map", "--in", f"map-{name}.csv", "--bin-width",
+                    "2.7", "--out", f"report-{name}-2.7meV.csv", "--quiet"])
     for p in PRESETS:
         model = ["--preset", p, "--config", LORENTZIAN_CFG]
         name = f"lorentzian-{p}-300K"
